@@ -5,7 +5,9 @@
 //
 //   * a recursive-descent parser producing a JsonValue tree, hardened for
 //     untrusted daemon input: depth-limited, bounds-checked, and throwing
-//     std::runtime_error with a position on the first malformed byte;
+//     std::runtime_error with a position on the first malformed byte. Its
+//     grammar is JsonLexer's (json_lexer.hpp), which the request decoder
+//     in protocol.cpp drives directly, without a tree;
 //   * append-style writers whose float formatting is the shortest
 //     round-trip decimal (std::to_chars). Every mixq component that prints
 //     a logit goes through append_json_float, which is what makes

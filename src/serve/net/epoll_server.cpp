@@ -306,7 +306,7 @@ NetStats EpollServer::run(std::ostream* log) {
                                      cfg.engine.max_wait_us});
   const std::int64_t input_numel = reg.default_model()->input_numel();
   const std::size_t max_line_bytes =
-      256 + 32 * static_cast<std::size_t>(reg.max_input_numel());
+      max_request_line_bytes(reg.max_input_numel());
 
   std::mutex stats_mu;
   NetStats stats;
@@ -506,6 +506,9 @@ NetStats EpollServer::run(std::ostream* log) {
     enum class State { kReading, kDraining } state{State::kReading};
     std::string rdbuf;
     std::size_t rd_off{0};
+    /// rdbuf[rd_off, scan_off) holds no '\n': a line arriving over many
+    /// recv() chunks is searched once, not once per chunk.
+    std::size_t scan_off{0};
     std::deque<std::string> outbox;
     std::size_t outbox_bytes{0};
     std::size_t wr_off{0};  ///< sent prefix of outbox.front()
@@ -774,8 +777,10 @@ NetStats EpollServer::run(std::ostream* log) {
   // streaming-style (framing is lost past it, so the connection drains).
   const auto process_rdbuf = [&](Conn& c) -> bool {
     while (true) {
-      const std::size_t nl = c.rdbuf.find('\n', c.rd_off);
+      const std::size_t nl =
+          c.rdbuf.find('\n', std::max(c.rd_off, c.scan_off));
       if (nl == std::string::npos) {
+        c.scan_off = c.rdbuf.size();
         if (c.rdbuf.size() - c.rd_off > max_line_bytes) {
           {
             std::lock_guard<std::mutex> lock(stats_mu);
@@ -797,6 +802,7 @@ NetStats EpollServer::run(std::ostream* log) {
         }
         if (c.rd_off > 0) {
           c.rdbuf.erase(0, c.rd_off);
+          c.scan_off -= c.rd_off;
           c.rd_off = 0;
         }
         return true;

@@ -36,6 +36,7 @@
 //                  serving, and retrying after fixing the image succeeds
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -130,15 +131,29 @@ struct ParsedLine {
   [[nodiscard]] std::string error_line() const;
 };
 
+/// The request-line cap of a daemon whose largest model takes
+/// `max_input_numel` floats. A well-formed request spends at most ~17
+/// bytes per float plus punctuation; a longer line is refused before any
+/// decoding, so a declared payload can never outgrow the bytes that
+/// carry it (the daemon-side analogue of the flash loader's rule).
+[[nodiscard]] constexpr std::size_t max_request_line_bytes(
+    std::int64_t max_input_numel) {
+  return 256 + 32 * static_cast<std::size_t>(max_input_numel);
+}
+
 /// Parse one protocol line. `input_numel` is the DEFAULT model's required
-/// input length; `max_line_bytes` rejects oversized lines BEFORE JSON
-/// parsing can amplify them (the JsonValue tree costs ~40x its input
-/// bytes). A request naming a model is validated against `models`
-/// (kError/not_found when the name is unknown -- or always, for a
-/// single-model caller passing nullptr). A parsed request's absolute
-/// deadline is stamped from "deadline_ms" when present, else from
-/// `default_deadline_ms` (<= 0 = none). Never throws: malformed input
-/// comes back as Kind::kError.
+/// input length; a line over `max_line_bytes` is refused before it is
+/// decoded. Decoding is one strict-JSON pass over the line that builds no
+/// tree: the request keys are read in place (the first of a duplicated
+/// key wins), every other value is validated and skipped, and "input" is
+/// parsed straight into the request's float buffer -- per-request memory
+/// stays O(numel * 4 B) instead of a multiple of the line. A syntax error
+/// anywhere wins over every semantic error. A request naming a model is
+/// validated against `models` (kError/not_found when the name is unknown
+/// -- or always, for a single-model caller passing nullptr). A parsed
+/// request's absolute deadline is stamped from "deadline_ms" when
+/// present, else from `default_deadline_ms` (<= 0 = none). Never throws:
+/// malformed input comes back as Kind::kError.
 [[nodiscard]] ParsedLine parse_protocol_line(
     std::string_view line, std::int64_t input_numel,
     std::size_t max_line_bytes, std::int64_t default_deadline_ms,

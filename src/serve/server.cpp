@@ -228,13 +228,10 @@ class Engine {
   /// join the worker, not destroy a joinable thread (std::terminate).
   ~Engine() { drain_and_stop(); }
 
-  /// Upper bound on an acceptable request line. A well-formed request is
-  /// at most ~17 bytes per float plus punctuation; anything much larger
-  /// is rejected BEFORE parse_json, because the JsonValue tree amplifies
-  /// input bytes ~40x -- the daemon-side analogue of the flash loader's
-  /// "a declared count can never outgrow the bytes that carry it" rule.
+  /// Upper bound on an acceptable request line, sized for the registry's
+  /// largest model (see max_request_line_bytes).
   [[nodiscard]] std::size_t max_line_bytes() const {
-    return 256 + 32 * static_cast<std::size_t>(reg_.max_input_numel());
+    return max_request_line_bytes(reg_.max_input_numel());
   }
 
   void start() {

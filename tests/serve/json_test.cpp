@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "serve/json.hpp"
 #include "tensor/rng.hpp"
@@ -106,6 +109,46 @@ TEST(Json, FloatFormatRoundTripsBitExactly) {
     std::string s;
     append_json_float(s, v);
     ASSERT_EQ(static_cast<float>(parse_json(s).number), v);
+  }
+}
+
+TEST(Json, NumbersAreTheCorrectlyRoundedDouble) {
+  // Short decimals take an exact fast path, long ones std::from_chars;
+  // both must give the double glibc's correctly rounded strtod gives,
+  // including at the fast path's edges (19 digits, 2^53, 10^+-22).
+  std::vector<std::string> spellings = {
+      "0", "-0", "0.0", "-0e5", "1", "0.1", "9007199254740992",
+      "9007199254740993", "18014398509481985", "1e22", "1e23", "-1e-22",
+      "1e-23", "9999999999999999999", "10000000000000000000",
+      "1234567890123456789e-22", "1234567890123456789e-23",
+      "0.00000000000000000001", "3.4028235677973366e38",
+      "1.1754943508222875e-38", "4.9406564584124654e-324", "1e308",
+      "2.2250738585072011e-308", "0.30000000000000004", "7e22", "7e-22"};
+  Rng rng(314);
+  for (int i = 0; i < 20000; ++i) {
+    std::string s = rng.uniform_int(2) == 0 ? "" : "-";
+    const int int_digits = 1 + static_cast<int>(rng.uniform_int(12));
+    for (int k = 0; k < int_digits; ++k) {
+      s.push_back(static_cast<char>(
+          '0' + (k == 0 && int_digits > 1 ? 1 + rng.uniform_int(9)
+                                          : rng.uniform_int(10))));
+    }
+    if (rng.uniform_int(4) != 0) {
+      s.push_back('.');
+      const int frac_digits = 1 + static_cast<int>(rng.uniform_int(12));
+      for (int k = 0; k < frac_digits; ++k) {
+        s.push_back(static_cast<char>('0' + rng.uniform_int(10)));
+      }
+    }
+    if (rng.uniform_int(2) == 0) {
+      s += "e" + std::to_string(static_cast<int>(rng.uniform_int(61)) - 30);
+    }
+    spellings.push_back(s);
+  }
+  for (const std::string& s : spellings) {
+    const double got = parse_json(s).number;
+    const double want = std::strtod(s.c_str(), nullptr);
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0) << s;
   }
 }
 

@@ -256,29 +256,30 @@ void BM_GemmMicro_u8s8_panel(benchmark::State& state) {
 BENCHMARK(BM_GemmMicro_u8s8_panel);
 
 void BM_GemmMicro_u8s16(benchmark::State& state) {
+  // The u8s16 tier's pair panel over one K segment (a GEMM row; a KxK conv
+  // hands the same kernel kh segments).
   Rng rng(13);
-  const std::int64_t kp = runtime::simd::round_up(kMicroK, 16);
+  const std::int64_t ocb = runtime::simd::gemm_s16_ocb();
+  const std::int64_t kp = runtime::simd::round_up(kMicroK, 2);
+  const std::int64_t co_pad = runtime::simd::round_up(kMicroCo, ocb);
   std::vector<std::uint8_t> a(
       static_cast<std::size_t>(kMicroM * kMicroK + 32));
-  std::vector<std::int16_t> w(static_cast<std::size_t>(kMicroCo * kp), 0);
-  std::vector<std::int32_t> acc(static_cast<std::size_t>(2 * kMicroCo));
+  std::vector<std::int32_t> w(static_cast<std::size_t>(kMicroCo * kMicroK));
+  std::vector<std::int16_t> panel(static_cast<std::size_t>(
+      runtime::simd::gemm_s16_panel_elems(kMicroCo, kp)));
+  std::vector<std::int32_t> acc(static_cast<std::size_t>(2 * co_pad));
   for (auto& v : a) v = static_cast<std::uint8_t>(rng.uniform_int(256));
-  for (std::int64_t oc = 0; oc < kMicroCo; ++oc) {
-    for (std::int64_t k = 0; k < kMicroK; ++k) {
-      w[static_cast<std::size_t>(oc * kp + k)] = static_cast<std::int16_t>(
-          static_cast<std::int32_t>(rng.uniform_int(511)) - 255);
-    }
+  for (auto& v : w) {
+    v = static_cast<std::int32_t>(rng.uniform_int(511)) - 255;
   }
+  runtime::simd::gemm_s16_pack(w.data(), kMicroCo, 1, kMicroK, panel.data());
   for (auto _ : state) {
     for (std::int64_t m = 0; m < kMicroM; m += 2) {
       const std::uint8_t* a0 = a.data() + m * kMicroK;
       const std::uint8_t* a1 = a0 + kMicroK;
-      std::fill(acc.begin(), acc.end(), 0);
-      for (std::int64_t oc = 0; oc < kMicroCo; oc += 4) {
-        const std::int16_t* wr = w.data() + oc * kp;
-        runtime::simd::dot2x4_u8s16(a0, a1, wr, wr + kp, wr + 2 * kp,
-                                    wr + 3 * kp, kp, acc.data() + oc,
-                                    acc.data() + kMicroCo + oc);
+      for (std::int64_t cb = 0; cb < co_pad; cb += ocb) {
+        runtime::simd::gemm_s16(a0, 0, a1, 0, kp, panel.data() + cb * kp, 0,
+                                kp, acc.data() + cb, acc.data() + co_pad + cb);
       }
       benchmark::DoNotOptimize(acc.data());
     }

@@ -517,34 +517,29 @@ void gap_plan(const PlannedLayer& pl, const std::int32_t* x, OutT* y,
 // Narrow-domain (u8 activation) layer kernels.
 // ---------------------------------------------------------------------------
 
-/// u8 im2col for output pixels [m0, m1) of a narrow conv's GEMM, written
-/// to a row tile at `col` (pixel m lands at (m - m0) * kp): each output
-/// pixel becomes one row of kp bytes (the layer's padded K). Out-of-bounds
-/// taps are filled with the input zero-point Zx -- algebraically identical
-/// to the valid-tap rectangle sum because the requant pre-add folds the
-/// FULL kernel weight sum: sum_pad Zx*w = Zx*(wsum - svalid). Each lane
-/// gathers into its own tile, so intra-layer partitioning never shares a
-/// destination.
-void im2col8_rows(const PlannedLayer& pl, const std::uint8_t* x,
-                  std::uint8_t* col, std::int64_t m0, std::int64_t m1) {
+/// u8 im2col row of the output pixel whose window starts at input (ih0,
+/// iw0): kernel row ky lands at d + ky * sstride (kw*C bytes), out-of-bounds
+/// taps filled with the input zero-point Zx -- algebraically identical to
+/// the valid-tap rectangle sum because the requant pre-add folds the FULL
+/// kernel weight sum: sum_pad Zx*w = Zx*(wsum - svalid). Gap bytes between
+/// segments (sstride > kw*C) and up to kp are zeroed; they meet zero
+/// weights.
+void im2col8_pixel(const PlannedLayer& pl, const std::uint8_t* x,
+                   std::uint8_t* d, std::int64_t sstride, std::int64_t ih0,
+                   std::int64_t iw0) {
   const QLayer& l = *pl.layer;
   const Shape& is = l.in_shape;
   const std::int64_t C = is.c;
   const std::int64_t kh = l.spec.kh;
   const std::int64_t kw = l.spec.kw;
-  const std::int64_t stride = l.spec.stride;
-  const std::int64_t pad = l.spec.pad;
   const std::int64_t row = is.w * C;
-  const std::int64_t ow_n = l.out_shape.w;
-  const std::int64_t K = l.wshape.per_channel();
-  const std::int64_t kp = pl.kp;
+  const std::int64_t seg = kw * C;
   const std::uint8_t zx = static_cast<std::uint8_t>(l.zx);
 
-  // Row width of one kernel tap row in the tile. Small-C stems (e.g. a
-  // 3-channel 3x3 first layer) copy only a handful of bytes per tap row;
-  // copy_row shortcuts those with two overlapping word copies (exact
-  // coverage for 5..16 bytes, no over-read/over-write) instead of paying
-  // the libc memcpy dispatch per call.
+  // Small-C stems (e.g. a 3-channel 3x3 first layer) copy only a handful
+  // of bytes per tap row; copy_row shortcuts those with two overlapping
+  // word copies (exact coverage for 4..16 bytes, no over-read/over-write)
+  // instead of paying the libc memcpy dispatch per call.
   const auto copy_row = [](std::uint8_t* dst, const std::uint8_t* src,
                            std::int64_t len) {
     if (len >= 8 && len <= 16) {
@@ -564,29 +559,14 @@ void im2col8_rows(const PlannedLayer& pl, const std::uint8_t* x,
     }
   };
 
-  // Output coordinates advance incrementally: a div/mod per pixel is a real
-  // 64-bit division (runtime divisor) and dominated the gather for small-K
-  // stems.
-  std::int64_t oh = m0 / ow_n;
-  std::int64_t ow = m0 % ow_n;
-  for (std::int64_t m = m0; m < m1; ++m) {
-    const std::int64_t ih0 = oh * stride - pad;
-    const std::int64_t iw0 = ow * stride - pad;
-    if (++ow == ow_n) {
-      ow = 0;
-      ++oh;
-    }
-    std::uint8_t* d = col + (m - m0) * kp;
-    for (std::int64_t ky = 0; ky < kh; ++ky) {
-      const std::int64_t iy = ih0 + ky;
-      if (iy < 0 || iy >= is.h) {
-        std::memset(d, zx, static_cast<std::size_t>(kw * C));
-        d += kw * C;
-        continue;
-      }
-      // Clamp the kx range once; the valid middle is one contiguous copy.
-      const std::int64_t kx0 = std::min(kw, iw0 < 0 ? -iw0 : 0);
-      const std::int64_t kx1 = std::min(kw, is.w - iw0);
+  // Clamp the kx range once; the valid middle is one contiguous copy.
+  const std::int64_t kx0 = std::min(kw, iw0 < 0 ? -iw0 : 0);
+  const std::int64_t kx1 = std::min(kw, is.w - iw0);
+  for (std::int64_t ky = 0; ky < kh; ++ky, d += sstride) {
+    const std::int64_t iy = ih0 + ky;
+    if (iy < 0 || iy >= is.h) {
+      std::memset(d, zx, static_cast<std::size_t>(seg));
+    } else {
       if (kx0 > 0) std::memset(d, zx, static_cast<std::size_t>(kx0 * C));
       if (kx1 > kx0) {
         copy_row(d + kx0 * C, x + iy * row + (iw0 + kx0) * C,
@@ -596,137 +576,144 @@ void im2col8_rows(const PlannedLayer& pl, const std::uint8_t* x,
         std::memset(d + (kx1 > kx0 ? kx1 : kx0) * C, zx,
                     static_cast<std::size_t>((kw - std::max(kx0, kx1)) * C));
       }
-      d += kw * C;
     }
-    if (kp > K) std::memset(d, 0, static_cast<std::size_t>(kp - K));
+    if (sstride > seg) {
+      std::memset(d + seg, 0, static_cast<std::size_t>(sstride - seg));
+    }
+  }
+  const std::int64_t tail = pl.kp - kh * sstride;
+  if (tail > 0) std::memset(d, 0, static_cast<std::size_t>(tail));
+}
+
+/// u8 im2col for output pixels [m0, m1) of an s8-panel conv, written to a
+/// row tile at `col` (pixel m lands at (m - m0) * kp, K contiguous). Each
+/// lane gathers into its own tile, so intra-layer partitioning never
+/// shares a destination.
+void im2col8_rows(const PlannedLayer& pl, const std::uint8_t* x,
+                  std::uint8_t* col, std::int64_t m0, std::int64_t m1) {
+  const QLayer& l = *pl.layer;
+  const std::int64_t ow_n = l.out_shape.w;
+  const std::int64_t stride = l.spec.stride;
+  const std::int64_t pad = l.spec.pad;
+  // Output coordinates advance incrementally: a div/mod per pixel is a real
+  // 64-bit division (runtime divisor) and dominated the gather for small-K
+  // stems.
+  std::int64_t oh = m0 / ow_n;
+  std::int64_t ow = m0 % ow_n;
+  for (std::int64_t m = m0; m < m1; ++m) {
+    im2col8_pixel(pl, x, col + (m - m0) * pl.kp, l.spec.kw * l.in_shape.c,
+                  oh * stride - pad, ow * stride - pad);
+    if (++ow == ow_n) {
+      ow = 0;
+      ++oh;
+    }
   }
 }
 
-/// Narrow GEMM over rows [m0, m1), dispatched on the layer's plan-time
-/// kernel tier: the VNNI panel (vpdpbusd, no pair bound), the AVX2-era s8
-/// panel (i16-pair bound proven), or the u8 x s16 widening kernels. All
-/// tiers honour the autotuned K/N cache blocking (pl.tile.kb / pl.tile.nb;
-/// 0 = unblocked): K-blocks accumulate exact i32 partial sums, N-blocks
-/// requantize each channel chunk as soon as its accumulators complete, so
-/// blocking is bit-exact with the single-pass GEMM.
-/// `A` rows are `lda` bytes apart and must be readable for kp bytes each
-/// (arena slack / col8 padding guarantee it; padded weights are zero, so
-/// the extra products vanish exactly).
-template <typename OutT>
-void gemm8_rows(const PlannedLayer& pl, const std::uint8_t* A,
-                std::int64_t lda, std::int64_t m0, std::int64_t m1,
-                OutT* out, std::int32_t* row_acc) {
+/// One GEMM row's A operand: its padded-K segments, `stride` bytes apart
+/// (the s8 panels read one contiguous row and ignore the stride).
+struct ARow {
+  const std::uint8_t* a;
+  std::int64_t stride;
+};
+
+/// One channel block [cb, cb + ocb) of the narrow GEMM over padded K
+/// [k0, k1), for one row (r1.a == nullptr) or two sharing each weight
+/// load, on the layer's bank and plan-time tier: the s16 pair panel
+/// (vpdpwssd on the VNNI tier, else vpmaddwd), the VNNI s8 panel
+/// (vpdpbusd, no pair bound) or the AVX2-era s8 panel (i16-pair bound
+/// proven). K blocks after the first accumulate exact i32 partial sums.
+inline void panel_block(const PlannedLayer& pl, std::int64_t ocb,
+                        const ARow& r0, const ARow& r1, std::int64_t cb,
+                        std::int64_t k0, std::int64_t k1, std::int32_t* acc0,
+                        std::int32_t* acc1) {
+  const bool accum = k0 > 0;
+  const bool vnni = pl.tier == KernelTier::kVnni;
+  if (!pl.w16.empty()) {
+    const std::int16_t* blk = pl.w16.data() + cb * pl.kp;
+    if (vnni) {
+      simd::vnni_gemm_s16(r0.a, r0.stride, r1.a, r1.stride, pl.segp, blk, k0,
+                          k1, acc0, acc1, accum ? 1 : 0);
+    } else {
+      simd::gemm_s16(r0.a, r0.stride, r1.a, r1.stride, pl.segp, blk, k0, k1,
+                     acc0, acc1, accum);
+    }
+    return;
+  }
+  const std::int8_t* blk = pl.w8.data() + cb * pl.kp + (k0 / 4) * ocb * 4;
+  const std::int64_t klen = k1 - k0;
+  if (r1.a == nullptr) {
+    if (vnni) {
+      simd::vnni_gemm_x1(r0.a + k0, blk, klen, acc0, accum ? 1 : 0);
+    } else {
+      simd::gemm_u8s8_x1(r0.a + k0, blk, klen, acc0, accum);
+    }
+  } else if (vnni) {
+    simd::vnni_gemm_x2(r0.a + k0, r1.a + k0, blk, klen, acc0, acc1,
+                       accum ? 1 : 0);
+  } else {
+    simd::gemm_u8s8_x2(r0.a + k0, r1.a + k0, blk, klen, acc0, acc1, accum);
+  }
+}
+
+/// Narrow GEMM over output pixels [m0, m1), two at a time. `row(m)` yields
+/// pixel m's A operand and is called once per pixel, in increasing m; each
+/// row must be readable for kp bytes (per segment: segp) plus the kernels'
+/// overread, which the arena slack covers -- padded weights are zero, so
+/// the extra products vanish exactly. Honours the autotuned K/N cache
+/// blocking (pl.tile.kb / pl.tile.nb; 0 = unblocked): N-blocks requantize
+/// each channel chunk as soon as its accumulators complete, so blocking is
+/// bit-exact with the single-pass GEMM.
+template <typename OutT, typename RowFn>
+void gemm8_rows(const PlannedLayer& pl, RowFn&& row, std::int64_t m0,
+                std::int64_t m1, OutT* out, std::int32_t* row_acc) {
   const std::int64_t co = pl.layer->wshape.co;
   const std::int64_t kp = pl.kp;
   const std::int64_t co_pad = pl.co_pad;
   const std::int64_t kb = pl.tile.kb > 0 ? pl.tile.kb : kp;
   const std::int64_t nb = pl.tile.nb > 0 ? pl.tile.nb : co_pad;
-
-  if (pl.tier == KernelTier::kVnni || pl.tier == KernelTier::kS8Panel) {
-    const bool vnni = pl.tier == KernelTier::kVnni;
-    const std::int64_t ocb = vnni ? simd::vnni_ocb() : simd::gemm_u8s8_ocb();
-    const std::int8_t* panel = pl.w8.data();
-    std::int64_t m = m0;
-    for (; m + 2 <= m1; m += 2) {
-      const std::uint8_t* a0 = A + m * lda;
-      const std::uint8_t* a1 = a0 + lda;
-      for (std::int64_t c0 = 0; c0 < co_pad; c0 += nb) {
-        const std::int64_t c1 = std::min(co_pad, c0 + nb);
-        for (std::int64_t k0 = 0; k0 < kp; k0 += kb) {
-          const std::int64_t klen = std::min(kp, k0 + kb) - k0;
-          const bool accum = k0 > 0;
-          for (std::int64_t cb = c0; cb < c1; cb += ocb) {
-            const std::int8_t* blk = panel + cb * kp + (k0 / 4) * ocb * 4;
-            if (vnni) {
-              simd::vnni_gemm_x2(a0 + k0, a1 + k0, blk, klen, row_acc + cb,
-                                 row_acc + co_pad + cb, accum ? 1 : 0);
-            } else {
-              simd::gemm_u8s8_x2(a0 + k0, a1 + k0, blk, klen, row_acc + cb,
-                                 row_acc + co_pad + cb, accum);
-            }
-          }
+  const std::int64_t ocb = !pl.w16.empty() ? simd::gemm_s16_ocb()
+                           : pl.tier == KernelTier::kVnni
+                               ? simd::vnni_ocb()
+                               : simd::gemm_u8s8_ocb();
+  // VNNI s16 layers storing u8 over the whole depth fuse the requant into
+  // the kernel: pixel pairs never round-trip through row_acc.
+  const bool fused = std::is_same_v<OutT, std::uint8_t> &&
+                     pl.tier == KernelTier::kVnni && !pl.w16.empty() &&
+                     kb == kp;
+  std::int32_t* acc1 = row_acc + co_pad;
+  for (std::int64_t m = m0; m < m1; m += 2) {
+    const bool two = m + 1 < m1;
+    const ARow r0 = row(m);
+    const ARow r1 = two ? row(m + 1) : ARow{nullptr, 0};
+    if constexpr (std::is_same_v<OutT, std::uint8_t>) {
+      if (fused) {
+        for (std::int64_t cb = 0; cb < co; cb += ocb) {
+          simd::vnni_gemm_s16_requant(
+              r0.a, r0.stride, r1.a, r1.stride, pl.segp,
+              pl.w16.data() + cb * kp, kp, pl.rq.add.data() + cb,
+              pl.rq.m0.data() + cb, pl.rq.shift.data() + cb, pl.rq.zy,
+              pl.rq.hi, out + m * co + cb,
+              two ? out + (m + 1) * co + cb : nullptr, std::min(ocb, co - cb));
         }
-        const std::int64_t len = std::min(c1, co) - c0;
-        if (len > 0) {
-          requant_chunk(pl, row_acc + c0, out + m * co + c0, c0, len);
-          requant_chunk(pl, row_acc + co_pad + c0, out + (m + 1) * co + c0,
-                        c0, len);
-        }
+        continue;
       }
     }
-    for (; m < m1; ++m) {
-      const std::uint8_t* a = A + m * lda;
-      for (std::int64_t c0 = 0; c0 < co_pad; c0 += nb) {
-        const std::int64_t c1 = std::min(co_pad, c0 + nb);
-        for (std::int64_t k0 = 0; k0 < kp; k0 += kb) {
-          const std::int64_t klen = std::min(kp, k0 + kb) - k0;
-          const bool accum = k0 > 0;
-          for (std::int64_t cb = c0; cb < c1; cb += ocb) {
-            const std::int8_t* blk = panel + cb * kp + (k0 / 4) * ocb * 4;
-            if (vnni) {
-              simd::vnni_gemm_x1(a + k0, blk, klen, row_acc + cb,
-                                 accum ? 1 : 0);
-            } else {
-              simd::gemm_u8s8_x1(a + k0, blk, klen, row_acc + cb, accum);
-            }
-          }
-        }
-        const std::int64_t len = std::min(c1, co) - c0;
-        if (len > 0) {
-          requant_chunk(pl, row_acc + c0, out + m * co + c0, c0, len);
-        }
-      }
-    }
-    return;
-  }
-
-  const std::int16_t* W = pl.w16.data();
-  std::int64_t m = m0;
-  for (; m + 2 <= m1; m += 2) {
-    const std::uint8_t* a0 = A + m * lda;
-    const std::uint8_t* a1 = a0 + lda;
-    for (std::int64_t c0 = 0; c0 < co; c0 += nb) {
-      const std::int64_t c1 = std::min(co, c0 + nb);
-      std::fill(row_acc + c0, row_acc + c1, 0);
-      std::fill(row_acc + co_pad + c0, row_acc + co_pad + c1, 0);
+    for (std::int64_t c0 = 0; c0 < co_pad; c0 += nb) {
+      const std::int64_t c1 = std::min(co_pad, c0 + nb);
       for (std::int64_t k0 = 0; k0 < kp; k0 += kb) {
-        const std::int64_t klen = std::min(kp, k0 + kb) - k0;
-        std::int64_t oc = c0;
-        for (; oc + 4 <= c1; oc += 4) {
-          const std::int16_t* wr = W + oc * kp + k0;
-          simd::dot2x4_u8s16(a0 + k0, a1 + k0, wr, wr + kp, wr + 2 * kp,
-                             wr + 3 * kp, klen, row_acc + oc,
-                             row_acc + co_pad + oc);
-        }
-        for (; oc < c1; ++oc) {
-          const std::int16_t* wr = W + oc * kp + k0;
-          row_acc[oc] += simd::dot_u8s16(a0 + k0, wr, klen);
-          row_acc[co_pad + oc] += simd::dot_u8s16(a1 + k0, wr, klen);
+        const std::int64_t k1 = std::min(kp, k0 + kb);
+        for (std::int64_t cb = c0; cb < c1; cb += ocb) {
+          panel_block(pl, ocb, r0, r1, cb, k0, k1, row_acc + cb, acc1 + cb);
         }
       }
-      requant_chunk(pl, row_acc + c0, out + m * co + c0, c0, c1 - c0);
-      requant_chunk(pl, row_acc + co_pad + c0, out + (m + 1) * co + c0, c0,
-                    c1 - c0);
-    }
-  }
-  for (; m < m1; ++m) {
-    const std::uint8_t* a = A + m * lda;
-    for (std::int64_t c0 = 0; c0 < co; c0 += nb) {
-      const std::int64_t c1 = std::min(co, c0 + nb);
-      std::fill(row_acc + c0, row_acc + c1, 0);
-      for (std::int64_t k0 = 0; k0 < kp; k0 += kb) {
-        const std::int64_t klen = std::min(kp, k0 + kb) - k0;
-        std::int64_t oc = c0;
-        for (; oc + 4 <= c1; oc += 4) {
-          const std::int16_t* wr = W + oc * kp + k0;
-          simd::dot1x4_u8s16(a + k0, wr, wr + kp, wr + 2 * kp, wr + 3 * kp,
-                             klen, row_acc + oc);
-        }
-        for (; oc < c1; ++oc) {
-          row_acc[oc] += simd::dot_u8s16(a + k0, W + oc * kp + k0, klen);
+      const std::int64_t len = std::min(c1, co) - c0;
+      if (len > 0) {
+        requant_chunk(pl, row_acc + c0, out + m * co + c0, c0, len);
+        if (two) {
+          requant_chunk(pl, acc1 + c0, out + (m + 1) * co + c0, c0, len);
         }
       }
-      requant_chunk(pl, row_acc + c0, out + m * co + c0, c0, c1 - c0);
     }
   }
 }
@@ -1076,54 +1063,54 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
           }
         }
         const bool fits_s8 = wmin >= -128 && wmax <= 127;
-        if (fits_s8 && vnni_want) {
+        const bool s8_pairs = fits_s8 && pair_max * amax <= 32767;
+        if (vnni_want) {
           pl.tier = KernelTier::kVnni;
-        } else if (fits_s8 && pair_max * amax <= 32767) {
-          pl.tier = KernelTier::kS8Panel;
         } else {
-          pl.tier = KernelTier::kU8S16;
+          pl.tier = s8_pairs ? KernelTier::kS8Panel : KernelTier::kU8S16;
         }
         pl.i8_panel = pl.tier == KernelTier::kS8Panel;
-        if (pl.tier == KernelTier::kVnni) {
+        if (vnni_want && fits_s8) {
           pl.kp = simd::vnni_kp(per);
           pl.co_pad = simd::round_up(co, simd::vnni_ocb());
           pl.w8.resize(
               static_cast<std::size_t>(simd::vnni_panel_elems(co, per)));
           simd::vnni_pack(pl.w.data(), co, per, pl.w8.data());
-        } else if (pl.tier == KernelTier::kS8Panel) {
+        } else if (pl.i8_panel) {
           pl.kp = simd::gemm_u8s8_kp(per);
           pl.co_pad = simd::round_up(co, simd::gemm_u8s8_ocb());
           pl.w8.resize(
               static_cast<std::size_t>(simd::gemm_u8s8_panel_elems(co, per)));
           simd::gemm_u8s8_pack(pl.w.data(), co, per, pl.w8.data());
         } else {
-          // s16 tier: rows padded to the widest vector step (16 i16) so
-          // the dot kernels run remainder-free; pad weights are zero.
-          pl.kp = simd::round_up(per, 16);
-          pl.co_pad = co;
-          pl.w16.assign(static_cast<std::size_t>(co * pl.kp), 0);
-          for (std::int64_t oc = 0; oc < co; ++oc) {
-            for (std::int64_t k = 0; k < per; ++k) {
-              pl.w16[static_cast<std::size_t>(oc * pl.kp + k)] =
-                  static_cast<std::int16_t>(pl.w[oc * per + k]);
-            }
-          }
+          // s16 pair panel: one K segment per kernel row, each padded to
+          // an even length (a 3x3x3 stem: 3 x 10, 15 pairs).
+          const std::int64_t nseg =
+              l.kind == QLayerKind::kConv ? l.spec.kh : 1;
+          pl.segp = simd::round_up(per / nseg, 2);
+          pl.kp = nseg * pl.segp;
+          pl.co_pad = simd::round_up(co, simd::gemm_s16_ocb());
+          pl.w16.resize(
+              static_cast<std::size_t>(simd::gemm_s16_panel_elems(co, pl.kp)));
+          simd::gemm_s16_pack(pl.w.data(), co, nseg, per / nseg,
+                              pl.w16.data());
         }
         // Tile auto-tuning for the GEMM tiers: the analytic cache model,
         // optionally refined by the timing micro-probe, or the caller's
-        // fixed tile. kb/nb are normalized to the tier's quanta so every
+        // fixed tile. kb/nb are normalized to the bank's quanta so every
         // kernel pass stays remainder-free.
+        const bool s16 = !pl.w16.empty();
         GemmShape gs;
         gs.out_pixels = l.kind == QLayerKind::kConv
                             ? l.out_shape.h * l.out_shape.w
                             : 1;
         gs.co_pad = pl.co_pad;
         gs.kp = pl.kp;
-        gs.ocb = pl.tier == KernelTier::kVnni ? simd::vnni_ocb()
-                 : pl.tier == KernelTier::kS8Panel ? simd::gemm_u8s8_ocb()
-                                                   : 4;
-        gs.wbytes = pl.tier == KernelTier::kU8S16 ? 2 : 1;
-        gs.kq = pl.tier == KernelTier::kU8S16 ? 16 : 4;
+        gs.ocb = s16 ? simd::gemm_s16_ocb()
+                 : pl.tier == KernelTier::kVnni ? simd::vnni_ocb()
+                                                : simd::gemm_u8s8_ocb();
+        gs.wbytes = s16 ? 2 : 1;
+        gs.kq = s16 ? 2 : 4;
         switch (opts.autotune) {
           case PlanOptions::Autotune::kFixed:
             pl.tile = opts.fixed_tile;
@@ -1184,8 +1171,12 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
       const bool direct = l.spec.kh == 1 && l.spec.kw == 1 &&
                           l.spec.pad == 0 && l.spec.stride == 1;
       if (pl.domain == ExecDomain::kI8 && !direct) {
+        // s16 pair-panel convs gather only border pixels, two tile rows
+        // (one per pixel of a pair); s8 panels gather a tile.rows tile.
         const std::int64_t trows =
-            pl.tile.rows > 0 ? pl.tile.rows : kIm2colTileRows;
+            !pl.w16.empty() ? 2
+            : pl.tile.rows > 0 ? pl.tile.rows
+                               : kIm2colTileRows;
         const std::int64_t rows =
             std::min(l.out_shape.h * l.out_shape.w, trows);
         col8_elems_ = std::max(col8_elems_, rows * pl.kp);
@@ -1277,27 +1268,68 @@ void ExecutionPlan::run_layer_rows(const PlannedLayer& pl, PlanArenas& arenas,
         const bool direct = l.spec.kh == 1 && l.spec.kw == 1 &&
                             l.spec.pad == 0 && l.spec.stride == 1;
         if (direct) {
+          const auto dense = [x, K](std::int64_t m) {
+            return ARow{x + m * K, 0};
+          };
           if (pl.out_u8) {
-            gemm8_rows(pl, x, K, r0, r1, arenas.arena8(pl.dst), row_acc);
+            gemm8_rows(pl, dense, r0, r1, arenas.arena8(pl.dst), row_acc);
           } else {
-            gemm8_rows(pl, x, K, r0, r1, arenas.arena(pl.dst), row_acc);
+            gemm8_rows(pl, dense, r0, r1, arenas.arena(pl.dst), row_acc);
           }
           return;
         }
-        // Cache-blocked: gather the autotuned number of output pixels into
-        // this lane's L1-resident u8 tile, run the panel GEMM, advance.
+        std::uint8_t* tile = arenas.lane_col8(lane);
+        if (!pl.w16.empty()) {
+          // Gather-free s16 pair panel: an interior pixel's kernel rows are
+          // read in place from the input tensor; a border pixel is gathered
+          // (Zx-filled) into tile row m & 1, so a pixel pair never shares
+          // one.
+          const std::int64_t C = l.in_shape.c;
+          const std::int64_t row = l.in_shape.w * C;
+          const std::int64_t ow_n = l.out_shape.w;
+          const std::int64_t stride = l.spec.stride;
+          const std::int64_t pad = l.spec.pad;
+          std::int64_t oh = r0 / ow_n;
+          std::int64_t ow = r0 % ow_n;
+          const auto pixel = [&](std::int64_t m) {
+            const std::int64_t ih0 = oh * stride - pad;
+            const std::int64_t iw0 = ow * stride - pad;
+            const bool interior = oh >= pl.oh0 && oh < pl.oh1 &&
+                                  ow >= pl.ow0 && ow < pl.ow1;
+            if (++ow == ow_n) {
+              ow = 0;
+              ++oh;
+            }
+            if (interior) return ARow{x + ih0 * row + iw0 * C, row};
+            std::uint8_t* d = tile + (m & 1) * pl.kp;
+            im2col8_pixel(pl, x, d, pl.segp, ih0, iw0);
+            return ARow{d, pl.segp};
+          };
+          if (pl.out_u8) {
+            gemm8_rows(pl, pixel, r0, r1, arenas.arena8(pl.dst), row_acc);
+          } else {
+            gemm8_rows(pl, pixel, r0, r1, arenas.arena(pl.dst), row_acc);
+          }
+          return;
+        }
+        // s8 panels, cache-blocked: gather the autotuned number of output
+        // pixels into this lane's L1-resident u8 tile, run the panel GEMM,
+        // advance.
         const std::int64_t trows =
             pl.tile.rows > 0 ? pl.tile.rows : kIm2colTileRows;
-        std::uint8_t* tile = arenas.lane_col8(lane);
+        const std::int64_t kp = pl.kp;
+        const auto tiled = [tile, kp](std::int64_t m) {
+          return ARow{tile + m * kp, 0};
+        };
         for (std::int64_t t0 = r0; t0 < r1; t0 += trows) {
           const std::int64_t t1 = std::min(r1, t0 + trows);
           im2col8_rows(pl, x, tile, t0, t1);
           if (pl.out_u8) {
-            gemm8_rows(pl, tile, pl.kp, 0, t1 - t0,
-                       arenas.arena8(pl.dst) + t0 * co, row_acc);
+            gemm8_rows(pl, tiled, 0, t1 - t0, arenas.arena8(pl.dst) + t0 * co,
+                       row_acc);
           } else {
-            gemm8_rows(pl, tile, pl.kp, 0, t1 - t0,
-                       arenas.arena(pl.dst) + t0 * co, row_acc);
+            gemm8_rows(pl, tiled, 0, t1 - t0, arenas.arena(pl.dst) + t0 * co,
+                       row_acc);
           }
         }
         return;
@@ -1309,15 +1341,15 @@ void ExecutionPlan::run_layer_rows(const PlannedLayer& pl, PlanArenas& arenas,
           depthwise8_rows(pl, x, arenas.arena(pl.dst), r0, r1, row_acc);
         }
         return;
-      case QLayerKind::kLinear:
+      case QLayerKind::kLinear: {
+        const auto vec = [x](std::int64_t) { return ARow{x, 0}; };
         if (pl.out_u8) {
-          gemm8_rows(pl, x, l.wshape.per_channel(), 0, 1,
-                     arenas.arena8(pl.dst), row_acc);
+          gemm8_rows(pl, vec, 0, 1, arenas.arena8(pl.dst), row_acc);
         } else {
-          gemm8_rows(pl, x, l.wshape.per_channel(), 0, 1,
-                     arenas.arena(pl.dst), row_acc);
+          gemm8_rows(pl, vec, 0, 1, arenas.arena(pl.dst), row_acc);
         }
         return;
+      }
       case QLayerKind::kGlobalAvgPool:
         if (pl.out_u8) {
           gap8_plan(pl, x, arenas.arena8(pl.dst), row_acc);

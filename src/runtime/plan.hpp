@@ -22,12 +22,14 @@
 //       max(|w[2k]| + |w[2k+1]|) * qmax(qx) <= 32767 the layer's GEMM runs
 //       through the cache-blocked s8 panel (vpmaddubsw -> vpmaddwd, 32
 //       MACs per AVX2 instruction sequence, intermediate i16 sums proven
-//       exact); otherwise the u8 x s16 widening kernels run (vpmaddwd,
-//       always exact).
-//   Conv layers (any kernel size) run as panel/row GEMM over a u8 im2col
+//       exact); otherwise the u8 x s16 pair panel runs (vpmaddwd, or
+//       vpdpwssd on the VNNI tier; always exact).
+//   Conv layers (any kernel size) run as panel GEMM over u8 im2col rows
 //   whose padded taps are filled with Zx -- algebraically identical to the
 //   valid-tap + rectangle-sum form, so one requant pre-add (bq - Zx*wsum)
-//   covers interior and border alike. Depthwise runs a direct u8 kernel
+//   covers interior and border alike. The s16 pair panel reads an interior
+//   pixel's kernel rows straight from the input tensor and gathers only
+//   border pixels. Depthwise runs a direct u8 kernel
 //   (no im2col): taps pair-interleaved for vpmaddwd across channels,
 //   vectorized requantization straight back to u8, border windows on the
 //   same vector path via precomputed per-window pre-adds.
@@ -84,10 +86,11 @@ inline const char* domain_name(ExecDomain d) {
 /// MAC kernel tier of one narrow-domain layer, fixed at plan compile time:
 ///   s8-panel -- AVX2-era u8 x s8 panel (vpmaddubsw -> vpmaddwd), requires
 ///               weights in int8 AND the i16 pair-sum bound;
-///   u8s16    -- u8 x s16 widening kernels, always exact;
-///   vnni     -- AVX-512 VNNI (vpdpbusd panel / vpdpwssd depthwise):
-///               accumulates straight into i32, so only the int8 weight
-///               fit is required -- the pair-sum bound vanishes.
+///   u8s16    -- u8 x s16 pair panel / depthwise (vpmaddwd), always exact;
+///   vnni     -- AVX-512 VNNI: vpdpbusd s8 panel when the weights fit
+///               int8 (accumulating straight into i32, so the pair-sum
+///               bound vanishes), else the vpdpwssd s16 pair panel;
+///               vpdpwssd depthwise.
 /// Wide-domain layers and layers without a requantizing MAC kernel of
 /// their own (pool, raw-logits head) carry kNone.
 enum class KernelTier : std::uint8_t { kNone, kS8Panel, kU8S16, kVnni };
@@ -166,17 +169,21 @@ struct PlannedLayer {
   KernelTier tier{KernelTier::kNone};  ///< selected MAC kernel tier
   TileConfig tile{};    ///< autotuned im2col/K/N blocking (GEMM layers)
   bool i8_panel{false}; ///< tier == kS8Panel (kept for compat/asserts)
-  std::int64_t kp{0};   ///< padded GEMM depth (panel: 4-aligned; s16: 16)
+  /// Padded GEMM depth: s8 panels 4-aligned; the s16 pair panel kh
+  /// segments (one per kernel row; 1 for GEMM/linear) of segp bytes.
+  std::int64_t kp{0};
+  std::int64_t segp{0};               ///< s16 pair panel: padded segment
   std::int64_t co_pad{0};             ///< co rounded to the panel block
-  std::vector<std::int8_t> w8;        ///< s8 GEMM panel (i8_panel)
-  std::vector<std::int16_t> w16;      ///< s16 GEMM rows, co x kp (!i8_panel)
+  std::vector<std::int8_t> w8;        ///< s8 GEMM panel (w16 empty)
+  std::vector<std::int16_t> w16;      ///< s16 pair panel (u8s16 or vnni)
   std::vector<std::int16_t> wt16;     ///< depthwise tap-major s16 (border)
   std::vector<std::int16_t> wt16p;    ///< depthwise pair-interleaved s16
 };
 
 /// Slack bytes appended to every non-empty u8 arena so the panel kernels'
-/// 4-byte activation reads at padded K never leave the allocation (vectors
-/// are zero-initialized, so the overread is defined AND deterministic).
+/// activation reads at padded K (4-byte groups, the s16 panel's 16-byte
+/// widening loads) never leave the allocation (vectors are
+/// zero-initialized, so the overread is defined AND deterministic).
 inline constexpr std::int64_t kArenaU8Slack = 32;
 
 /// Allocated size of a u8 arena holding `n` logical elements -- the single
@@ -284,7 +291,8 @@ class ExecutionPlan {
   [[nodiscard]] std::int64_t ping8_elems() const { return ping8_elems_; }
   [[nodiscard]] std::int64_t pong8_elems() const { return pong8_elems_; }
   /// im2col gather capacities: whole-matrix for wide strided pointwise
-  /// layers; per-lane autotuned-rows tile for narrow convs.
+  /// layers; per-lane autotuned-rows tile for narrow s8-panel convs, two
+  /// border-pixel rows for s16 pair-panel convs.
   [[nodiscard]] std::int64_t col_elems() const { return col_elems_; }
   [[nodiscard]] std::int64_t col8_elems() const { return col8_elems_; }
   /// Per-lane row-accumulator scratch capacity.

@@ -535,10 +535,10 @@ inline void requant_icn_i32(const RequantTable& rq,
 //     sequence with the intermediate i16 pair sums proven exact by the
 //     bound above (the plan's eligibility prover enforces it; these
 //     kernels assume it).
-//   * s16 rows  -- any narrow layer's offset weights fit int16
-//     unconditionally (|w - Zw| <= 255); activations widen u8 -> i16 on
-//     the fly and vpmaddwd's i16 x i16 -> i32 pair products are always
-//     exact (|x*w| <= 255*255, pair sum < 2^31).
+//   * s16 pair panel -- any narrow layer's offset weights fit int16
+//     unconditionally (|w - Zw| <= 255); activation pairs widen u8 -> i16
+//     and vpmaddwd's i16 x i16 -> i32 pair products are always exact
+//     (|x*w| <= 255*255, pair sum < 2^31).
 //
 // Every kernel here is bit-exact against its scalar reference: i32
 // accumulation is only used where the plan proved phi_bound < 2^30 (so
@@ -744,257 +744,164 @@ inline void gemm_u8s8_x2(const std::uint8_t* __restrict__ a0,
 }
 
 // ---------------------------------------------------------------------------
-// u8 x s16 register-blocked dot products (GEMM tier for weights that do
-// not fit the s8 panel: activations widen u8 -> i16, vpmaddwd is exact).
+// u8 x s16 pair-panel GEMM micro-kernel (weights that miss the s8 panel).
+//
+// Layout: output channels in blocks of 16; within a block, the padded K
+// runs as (w[2k], w[2k+1]) pairs, one pair per channel, so a K step is 32
+// contiguous i16. Each step broadcasts one widened activation pair to every
+// i32 lane and vpmaddwd (vpdpwssd on the VNNI tier) multiply-accumulates it
+// into 16 channel lanes: no horizontal sums. The padded K is `nseg`
+// segments of `segp` = round_up(seg, 2) bytes -- one segment per kernel
+// row for a KxK conv, one for a GEMM/linear row -- so a conv's A operand
+// is its kernel rows read in place, `stride` bytes apart (interior pixels
+// point straight into the input tensor). A segment's pad byte multiplies a
+// zero weight. Exact for any u8 x s16 operands: each pair product sum is at
+// most 2 * 255 * 32767 < 2^31, and the plan's phi_bound < 2^30 covers the
+// i32 accumulation.
 // ---------------------------------------------------------------------------
 
-/// out[j] += sum_k a[k] * wj[k] for four i16 weight rows.
-inline void dot1x4_u8s16(const std::uint8_t* __restrict__ a,
-                         const std::int16_t* __restrict__ w0,
-                         const std::int16_t* __restrict__ w1,
-                         const std::int16_t* __restrict__ w2,
-                         const std::int16_t* __restrict__ w3, std::int64_t n,
-                         std::int32_t* __restrict__ out) {
-#if defined(MIXQ_SIMD_AVX2)
-  if (enabled()) {
-    __m256i a0 = _mm256_setzero_si256(), a1 = _mm256_setzero_si256();
-    __m256i a2 = _mm256_setzero_si256(), a3 = _mm256_setzero_si256();
-    std::int64_t k = 0;
-    for (; k + 16 <= n; k += 16) {
-      const __m256i av = _mm256_cvtepu8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + k)));
-      a0 = _mm256_add_epi32(
-          a0, _mm256_madd_epi16(av, _mm256_loadu_si256(
-                  reinterpret_cast<const __m256i*>(w0 + k))));
-      a1 = _mm256_add_epi32(
-          a1, _mm256_madd_epi16(av, _mm256_loadu_si256(
-                  reinterpret_cast<const __m256i*>(w1 + k))));
-      a2 = _mm256_add_epi32(
-          a2, _mm256_madd_epi16(av, _mm256_loadu_si256(
-                  reinterpret_cast<const __m256i*>(w2 + k))));
-      a3 = _mm256_add_epi32(
-          a3, _mm256_madd_epi16(av, _mm256_loadu_si256(
-                  reinterpret_cast<const __m256i*>(w3 + k))));
-    }
-    alignas(16) std::int32_t s[4];
-    _mm_store_si128(reinterpret_cast<__m128i*>(s),
-                    detail::hsum4_epi32(a0, a1, a2, a3));
-    out[0] += s[0];
-    out[1] += s[1];
-    out[2] += s[2];
-    out[3] += s[3];
-    for (; k < n; ++k) {
-      const std::int32_t av = a[k];
-      out[0] += av * w0[k];
-      out[1] += av * w1[k];
-      out[2] += av * w2[k];
-      out[3] += av * w3[k];
-    }
-    return;
-  }
-#elif defined(MIXQ_SIMD_SSE4)
-  if (enabled()) {
-    __m128i a0 = _mm_setzero_si128(), a1 = _mm_setzero_si128();
-    __m128i a2 = _mm_setzero_si128(), a3 = _mm_setzero_si128();
-    std::int64_t k = 0;
-    for (; k + 8 <= n; k += 8) {
-      const __m128i av = _mm_cvtepu8_epi16(
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a + k)));
-      a0 = _mm_add_epi32(a0, _mm_madd_epi16(av, _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(w0 + k))));
-      a1 = _mm_add_epi32(a1, _mm_madd_epi16(av, _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(w1 + k))));
-      a2 = _mm_add_epi32(a2, _mm_madd_epi16(av, _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(w2 + k))));
-      a3 = _mm_add_epi32(a3, _mm_madd_epi16(av, _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(w3 + k))));
-    }
-    const __m128i s =
-        _mm_hadd_epi32(_mm_hadd_epi32(a0, a1), _mm_hadd_epi32(a2, a3));
-    alignas(16) std::int32_t sv[4];
-    _mm_store_si128(reinterpret_cast<__m128i*>(sv), s);
-    out[0] += sv[0];
-    out[1] += sv[1];
-    out[2] += sv[2];
-    out[3] += sv[3];
-    for (; k < n; ++k) {
-      const std::int32_t av = a[k];
-      out[0] += av * w0[k];
-      out[1] += av * w1[k];
-      out[2] += av * w2[k];
-      out[3] += av * w3[k];
-    }
-    return;
-  }
-#elif defined(MIXQ_SIMD_NEON)
-  {
-    int32x4_t a0 = vdupq_n_s32(0), a1 = vdupq_n_s32(0);
-    int32x4_t a2 = vdupq_n_s32(0), a3 = vdupq_n_s32(0);
-    std::int64_t k = 0;
-    for (; k + 8 <= n; k += 8) {
-      const int16x8_t av = vreinterpretq_s16_u16(vmovl_u8(vld1_u8(a + k)));
-      const int16x8_t v0 = vld1q_s16(w0 + k);
-      const int16x8_t v1 = vld1q_s16(w1 + k);
-      const int16x8_t v2 = vld1q_s16(w2 + k);
-      const int16x8_t v3 = vld1q_s16(w3 + k);
-      a0 = vmlal_s16(a0, vget_low_s16(av), vget_low_s16(v0));
-      a0 = vmlal_s16(a0, vget_high_s16(av), vget_high_s16(v0));
-      a1 = vmlal_s16(a1, vget_low_s16(av), vget_low_s16(v1));
-      a1 = vmlal_s16(a1, vget_high_s16(av), vget_high_s16(v1));
-      a2 = vmlal_s16(a2, vget_low_s16(av), vget_low_s16(v2));
-      a2 = vmlal_s16(a2, vget_high_s16(av), vget_high_s16(v2));
-      a3 = vmlal_s16(a3, vget_low_s16(av), vget_low_s16(v3));
-      a3 = vmlal_s16(a3, vget_high_s16(av), vget_high_s16(v3));
-    }
-    out[0] += vaddvq_s32(a0);
-    out[1] += vaddvq_s32(a1);
-    out[2] += vaddvq_s32(a2);
-    out[3] += vaddvq_s32(a3);
-    for (; k < n; ++k) {
-      const std::int32_t av = a[k];
-      out[0] += av * w0[k];
-      out[1] += av * w1[k];
-      out[2] += av * w2[k];
-      out[3] += av * w3[k];
-    }
-    return;
-  }
-#endif
-  std::int32_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (std::int64_t k = 0; k < n; ++k) {
-    const std::int32_t av = a[k];
-    s0 += av * w0[k];
-    s1 += av * w1[k];
-    s2 += av * w2[k];
-    s3 += av * w3[k];
-  }
-  out[0] += s0;
-  out[1] += s1;
-  out[2] += s2;
-  out[3] += s3;
+/// Output channels per pair-panel block (one zmm of i32, two ymm).
+constexpr std::int64_t gemm_s16_ocb() { return 16; }
+
+/// Panel capacity in i16 for co channels over padded depth kp.
+inline std::int64_t gemm_s16_panel_elems(std::int64_t co, std::int64_t kp) {
+  return round_up(co, gemm_s16_ocb()) * kp;
 }
 
-/// Two-row variant of dot1x4_u8s16: weight rows loaded once per pair of
-/// activation rows.
-inline void dot2x4_u8s16(const std::uint8_t* __restrict__ a0,
-                         const std::uint8_t* __restrict__ a1,
-                         const std::int16_t* __restrict__ w0,
-                         const std::int16_t* __restrict__ w1,
-                         const std::int16_t* __restrict__ w2,
-                         const std::int16_t* __restrict__ w3, std::int64_t n,
-                         std::int32_t* __restrict__ out0,
-                         std::int32_t* __restrict__ out1) {
+/// Index of weight (oc, padded k) inside the pair panel -- the layout
+/// contract shared by pack, every kernel body and the tests.
+inline std::int64_t gemm_s16_index(std::int64_t kp, std::int64_t oc,
+                                   std::int64_t k) {
+  const std::int64_t ocb = gemm_s16_ocb();
+  return (oc / ocb) * ocb * kp + (k / 2) * ocb * 2 + (oc % ocb) * 2 + k % 2;
+}
+
+/// Pack offset int32 weights (co rows of nseg * seg, row-major) into the
+/// pair panel: weight (oc, s*seg + i) lands at padded k = s*segp + i. Pad
+/// lanes, pad bytes and pad channels are zero.
+inline void gemm_s16_pack(const std::int32_t* w, std::int64_t co,
+                          std::int64_t nseg, std::int64_t seg,
+                          std::int16_t* panel) {
+  const std::int64_t segp = round_up(seg, 2);
+  const std::int64_t kp = nseg * segp;
+  std::fill(panel, panel + gemm_s16_panel_elems(co, kp), std::int16_t{0});
+  for (std::int64_t oc = 0; oc < co; ++oc) {
+    for (std::int64_t s = 0; s < nseg; ++s) {
+      for (std::int64_t i = 0; i < seg; ++i) {
+        panel[gemm_s16_index(kp, oc, s * segp + i)] =
+            static_cast<std::int16_t>(w[(oc * nseg + s) * seg + i]);
+      }
+    }
+  }
+}
+
+namespace detail {
+/// Splits the padded-K range [k0, k1) (both even) into per-segment pieces,
+/// calling f(s, i, k, n): padded [k, k + n) is bytes [i, i + n) of
+/// segment s; n is even.
+template <typename F>
+inline void for_each_s16_piece(std::int64_t segp, std::int64_t k0,
+                               std::int64_t k1, F&& f) {
+  // k0 == 0 (every unblocked GEMM) skips the 64-bit division.
+  for (std::int64_t s = k0 == 0 ? 0 : k0 / segp, k = k0; k < k1; ++s) {
+    const std::int64_t i = k - s * segp;
+    const std::int64_t n = std::min(segp - i, k1 - k);
+    f(s, i, k, n);
+    k += n;
+  }
+}
+
+/// R activation rows against one 16-channel panel block.
+template <int R>
+inline void gemm_s16_rows(const std::uint8_t* const (&a)[R],
+                          const std::int64_t (&stride)[R], std::int64_t segp,
+                          const std::int16_t* __restrict__ block,
+                          std::int64_t k0, std::int64_t k1,
+                          std::int32_t* const (&acc)[R], bool accumulate) {
 #if defined(MIXQ_SIMD_AVX2)
   if (enabled()) {
-    __m256i r0c0 = _mm256_setzero_si256(), r0c1 = _mm256_setzero_si256();
-    __m256i r0c2 = _mm256_setzero_si256(), r0c3 = _mm256_setzero_si256();
-    __m256i r1c0 = _mm256_setzero_si256(), r1c1 = _mm256_setzero_si256();
-    __m256i r1c2 = _mm256_setzero_si256(), r1c3 = _mm256_setzero_si256();
-    std::int64_t k = 0;
-    for (; k + 16 <= n; k += 16) {
-      const __m256i av0 = _mm256_cvtepu8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(a0 + k)));
-      const __m256i av1 = _mm256_cvtepu8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(a1 + k)));
-      __m256i wv =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w0 + k));
-      r0c0 = _mm256_add_epi32(r0c0, _mm256_madd_epi16(av0, wv));
-      r1c0 = _mm256_add_epi32(r1c0, _mm256_madd_epi16(av1, wv));
-      wv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w1 + k));
-      r0c1 = _mm256_add_epi32(r0c1, _mm256_madd_epi16(av0, wv));
-      r1c1 = _mm256_add_epi32(r1c1, _mm256_madd_epi16(av1, wv));
-      wv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w2 + k));
-      r0c2 = _mm256_add_epi32(r0c2, _mm256_madd_epi16(av0, wv));
-      r1c2 = _mm256_add_epi32(r1c2, _mm256_madd_epi16(av1, wv));
-      wv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w3 + k));
-      r0c3 = _mm256_add_epi32(r0c3, _mm256_madd_epi16(av0, wv));
-      r1c3 = _mm256_add_epi32(r1c3, _mm256_madd_epi16(av1, wv));
+    __m256i lo[R], hi[R];
+    for (int r = 0; r < R; ++r) {
+      lo[r] = accumulate
+                  ? _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc[r]))
+                  : _mm256_setzero_si256();
+      hi[r] = accumulate ? _mm256_loadu_si256(
+                               reinterpret_cast<const __m256i*>(acc[r] + 8))
+                         : _mm256_setzero_si256();
     }
-    alignas(16) std::int32_t s0[4], s1[4];
-    _mm_store_si128(reinterpret_cast<__m128i*>(s0),
-                    detail::hsum4_epi32(r0c0, r0c1, r0c2, r0c3));
-    _mm_store_si128(reinterpret_cast<__m128i*>(s1),
-                    detail::hsum4_epi32(r1c0, r1c1, r1c2, r1c3));
-    for (int j = 0; j < 4; ++j) {
-      out0[j] += s0[j];
-      out1[j] += s1[j];
-    }
-    for (; k < n; ++k) {
-      const std::int32_t x0 = a0[k];
-      const std::int32_t x1 = a1[k];
-      out0[0] += x0 * w0[k];
-      out0[1] += x0 * w1[k];
-      out0[2] += x0 * w2[k];
-      out0[3] += x0 * w3[k];
-      out1[0] += x1 * w0[k];
-      out1[1] += x1 * w1[k];
-      out1[2] += x1 * w2[k];
-      out1[3] += x1 * w3[k];
+    // Activations widen 16 bytes (8 pairs) at a time into `pairs`, whose
+    // dwords are then broadcast straight from memory. The 16-byte load may
+    // read up to 14 bytes past a piece; the plan's u8 arenas and im2col
+    // tile carry kArenaU8Slack for it, and those bytes are never used.
+    alignas(32) std::int32_t pairs[R][8];
+    for_each_s16_piece(segp, k0, k1, [&](std::int64_t s, std::int64_t i,
+                                         std::int64_t k, std::int64_t n) {
+      for (std::int64_t c = 0; c < n; c += 16) {
+        for (int r = 0; r < R; ++r) {
+          _mm256_store_si256(
+              reinterpret_cast<__m256i*>(pairs[r]),
+              _mm256_cvtepu8_epi16(_mm_loadu_si128(
+                  reinterpret_cast<const __m128i*>(a[r] + s * stride[r] + i +
+                                                   c))));
+        }
+        const std::int16_t* w = block + (k + c) * 16;
+        const std::int64_t np = std::min<std::int64_t>(8, (n - c) / 2);
+        for (std::int64_t p = 0; p < np; ++p) {
+          const __m256i w0 =
+              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + p * 32));
+          const __m256i w1 = _mm256_loadu_si256(
+              reinterpret_cast<const __m256i*>(w + p * 32 + 16));
+          for (int r = 0; r < R; ++r) {
+            const __m256i x = _mm256_set1_epi32(pairs[r][p]);
+            lo[r] = _mm256_add_epi32(lo[r], _mm256_madd_epi16(x, w0));
+            hi[r] = _mm256_add_epi32(hi[r], _mm256_madd_epi16(x, w1));
+          }
+        }
+      }
+    });
+    for (int r = 0; r < R; ++r) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc[r]), lo[r]);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc[r] + 8), hi[r]);
     }
     return;
   }
 #endif
-  dot1x4_u8s16(a0, w0, w1, w2, w3, n, out0);
-  dot1x4_u8s16(a1, w0, w1, w2, w3, n, out1);
+  for (int r = 0; r < R; ++r) {
+    std::int32_t sum[16];
+    for (std::int64_t j = 0; j < 16; ++j) sum[j] = accumulate ? acc[r][j] : 0;
+    for_each_s16_piece(segp, k0, k1, [&](std::int64_t s, std::int64_t i,
+                                         std::int64_t k, std::int64_t n) {
+      const std::uint8_t* x = a[r] + s * stride[r] + i;
+      for (std::int64_t q = 0; q < n; ++q) {
+        const std::int16_t* w = block + ((k + q) / 2) * 32 + (k + q) % 2;
+        for (std::int64_t j = 0; j < 16; ++j) {
+          sum[j] += static_cast<std::int32_t>(x[q]) * w[j * 2];
+        }
+      }
+    });
+    std::memcpy(acc[r], sum, sizeof(sum));
+  }
 }
+}  // namespace detail
 
-/// sum_k a[k] * w[k] (single i16 row remainder).
-inline std::int32_t dot_u8s16(const std::uint8_t* __restrict__ a,
-                              const std::int16_t* __restrict__ w,
-                              std::int64_t n) {
-#if defined(MIXQ_SIMD_AVX2)
-  if (enabled()) {
-    __m256i acc = _mm256_setzero_si256();
-    std::int64_t k = 0;
-    for (; k + 16 <= n; k += 16) {
-      const __m256i av = _mm256_cvtepu8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + k)));
-      acc = _mm256_add_epi32(
-          acc, _mm256_madd_epi16(av, _mm256_loadu_si256(
-                   reinterpret_cast<const __m256i*>(w + k))));
-    }
-    const __m128i lo = _mm_add_epi32(_mm256_castsi256_si128(acc),
-                                     _mm256_extracti128_si256(acc, 1));
-    const __m128i h = _mm_hadd_epi32(lo, lo);
-    std::int32_t s = _mm_cvtsi128_si32(_mm_hadd_epi32(h, h));
-    for (; k < n; ++k) s += static_cast<std::int32_t>(a[k]) * w[k];
-    return s;
+/// One or two activation rows (a1 == nullptr: one) against one pair-panel
+/// block: acc_r[j] = sum over padded k in [k0, k1) (both even) of
+/// A_r[k] * W[block j][k], row r's segment s being `segp` bytes at
+/// a_r + s * stride_r (overwrites acc; `accumulate` adds into it instead --
+/// the K-blocked GEMM's partial sums). `block` points at the block's first
+/// pair; two rows share each weight load.
+inline void gemm_s16(const std::uint8_t* a0, std::int64_t stride0,
+                     const std::uint8_t* a1, std::int64_t stride1,
+                     std::int64_t segp, const std::int16_t* block,
+                     std::int64_t k0, std::int64_t k1, std::int32_t* acc0,
+                     std::int32_t* acc1, bool accumulate = false) {
+  if (a1 == nullptr) {
+    detail::gemm_s16_rows<1>({a0}, {stride0}, segp, block, k0, k1, {acc0},
+                             accumulate);
+  } else {
+    detail::gemm_s16_rows<2>({a0, a1}, {stride0, stride1}, segp, block, k0,
+                             k1, {acc0, acc1}, accumulate);
   }
-#elif defined(MIXQ_SIMD_SSE4)
-  if (enabled()) {
-    __m128i acc = _mm_setzero_si128();
-    std::int64_t k = 0;
-    for (; k + 8 <= n; k += 8) {
-      const __m128i av = _mm_cvtepu8_epi16(
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a + k)));
-      acc = _mm_add_epi32(acc, _mm_madd_epi16(av, _mm_loadu_si128(
-                reinterpret_cast<const __m128i*>(w + k))));
-    }
-    const __m128i h = _mm_hadd_epi32(acc, acc);
-    std::int32_t s = _mm_cvtsi128_si32(_mm_hadd_epi32(h, h));
-    for (; k < n; ++k) s += static_cast<std::int32_t>(a[k]) * w[k];
-    return s;
-  }
-#elif defined(MIXQ_SIMD_NEON)
-  {
-    int32x4_t acc = vdupq_n_s32(0);
-    std::int64_t k = 0;
-    for (; k + 8 <= n; k += 8) {
-      const int16x8_t av = vreinterpretq_s16_u16(vmovl_u8(vld1_u8(a + k)));
-      const int16x8_t wv = vld1q_s16(w + k);
-      acc = vmlal_s16(acc, vget_low_s16(av), vget_low_s16(wv));
-      acc = vmlal_s16(acc, vget_high_s16(av), vget_high_s16(wv));
-    }
-    std::int32_t s = vaddvq_s32(acc);
-    for (; k < n; ++k) s += static_cast<std::int32_t>(a[k]) * w[k];
-    return s;
-  }
-#endif
-  std::int32_t s = 0;
-  for (std::int64_t k = 0; k < n; ++k) {
-    s += static_cast<std::int32_t>(a[k]) * w[k];
-  }
-  return s;
 }
 
 // ---------------------------------------------------------------------------

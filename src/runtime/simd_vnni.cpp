@@ -1,14 +1,15 @@
 // AVX-512 VNNI kernel bodies -- the ONE translation unit compiled with
 // -mavx512{f,bw,vl,vnni} (appended per-source in src/runtime/CMakeLists.txt
 // when the MIXQ_HAS_AVX512VNNI compile check passes, which also defines
-// MIXQ_VNNI_NATIVE for this file). Nothing here includes simd.hpp: its
-// inline kernels must not be compiled under AVX-512 flags (ODR across
-// TUs), and no struct is ever passed or copied (the GCC 12.2 AVX-512
-// miscompile the build works around was a struct copy).
+// MIXQ_VNNI_NATIVE for this file). The native bodies never include
+// simd.hpp: its inline kernels must not be compiled under AVX-512 flags
+// (ODR across TUs), and no struct is ever passed or copied (the GCC 12.2
+// AVX-512 miscompile the build works around was a struct copy).
 //
-// Without MIXQ_VNNI_NATIVE the same functions build as portable scalar
-// bodies with bit-identical arithmetic, so forced-tier plans and the
-// exactness tests run on every toolchain.
+// Without MIXQ_VNNI_NATIVE the same functions build as portable bodies
+// with bit-identical arithmetic (scalar, or simd.hpp's kernels where the
+// layouts agree -- the TU then has the baseline flags), so forced-tier
+// plans and the exactness tests run on every toolchain.
 //
 // When MIXQ_VNNI_NATIVE is set these bodies (including their scalar tail
 // loops, which the compiler may autovectorize to AVX-512) execute AVX-512
@@ -20,6 +21,8 @@
 
 #if defined(MIXQ_VNNI_NATIVE)
 #include <immintrin.h>
+#else
+#include "runtime/simd.hpp"
 #endif
 
 namespace mixq::runtime::simd {
@@ -187,19 +190,111 @@ void vnni_mac_u8s16(std::int32_t* acc, const std::uint8_t* x,
   for (; i < n; ++i) acc[i] += static_cast<std::int32_t>(x[i]) * w[i];
 }
 
-std::int32_t vnni_dot_u8s16(const std::uint8_t* a, const std::int16_t* w,
-                            std::int64_t n) {
-  __m512i acc = _mm512_setzero_si512();
-  std::int64_t k = 0;
-  for (; k + 32 <= n; k += 32) {
-    const __m512i av = _mm512_cvtepu8_epi16(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + k)));
-    acc = _mm512_dpwssd_epi32(acc, av, _mm512_loadu_si512(w + k));
+namespace {
+
+/// Pair steps widened per pass of the VNNI pair-panel kernel.
+constexpr std::int64_t kS16ChunkPairs = 64;
+
+/// R rows against one 16-channel pair-panel block over padded K [k0, k1):
+/// sum[r] gets the 16 channel sums. Four dependency chains per row cover
+/// vpdpwssd latency.
+template <int R>
+[[gnu::always_inline]] inline void s16_panel_mac(
+    const std::uint8_t* const* a, const std::int64_t* stride,
+    std::int64_t segp, const std::int16_t* block, std::int64_t k0,
+    std::int64_t k1, __m512i* sum) {
+  __m512i v[R][4];
+  for (int r = 0; r < R; ++r) {
+    v[r][0] = v[r][1] = v[r][2] = v[r][3] = _mm512_setzero_si512();
   }
-  std::int32_t s = _mm512_reduce_add_epi32(acc);
-  for (; k < n; ++k) s += static_cast<std::int32_t>(a[k]) * w[k];
-  return s;
+  // The K range widens kS16ChunkPairs pairs at a time into `pairs`, one
+  // masked load (no byte past a segment piece is read) and vpmovzxbw per
+  // 32 bytes of a piece, stored at the piece's padded-K offset. A store's
+  // zero tail past its piece is overwritten by the next piece, or lands in
+  // the 16 spare dwords. The pair dwords are then broadcast from memory
+  // into vpdpwssd.
+  alignas(64) std::int32_t pairs[R][kS16ChunkPairs + 16];
+  for (std::int64_t kc = k0; kc < k1; kc += 2 * kS16ChunkPairs) {
+    const std::int64_t ke =
+        k1 - kc < 2 * kS16ChunkPairs ? k1 : kc + 2 * kS16ChunkPairs;
+    for (std::int64_t s = kc == 0 ? 0 : kc / segp, k = kc; k < ke; ++s) {
+      const std::int64_t i = k - s * segp;
+      const std::int64_t n = segp - i < ke - k ? segp - i : ke - k;
+      for (std::int64_t c = 0; c < n; c += 32) {
+        const std::int64_t len = n - c < 32 ? n - c : 32;
+        const __mmask32 m = len == 32 ? ~0u : (1u << len) - 1u;
+        for (int r = 0; r < R; ++r) {
+          _mm512_storeu_si512(
+              reinterpret_cast<std::int16_t*>(pairs[r]) + (k - kc) + c,
+              _mm512_cvtepu8_epi16(
+                  _mm256_maskz_loadu_epi8(m, a[r] + s * stride[r] + i + c)));
+        }
+      }
+      k += n;
+    }
+    const std::int16_t* w = block + kc * 16;
+    const std::int64_t np = (ke - kc) / 2;
+    std::int64_t p = 0;
+    for (; p + 4 <= np; p += 4) {
+      for (int q = 0; q < 4; ++q) {
+        const __m512i wq = _mm512_loadu_si512(w + (p + q) * 32);
+        for (int r = 0; r < R; ++r) {
+          v[r][q] = _mm512_dpwssd_epi32(v[r][q], wq,
+                                        _mm512_set1_epi32(pairs[r][p + q]));
+        }
+      }
+    }
+    // Up to three tail pairs, one per chain (constant chain indices keep
+    // the accumulators in registers).
+    for (int q = 0; q < 3; ++q) {
+      if (p + q < np) {
+        const __m512i wq = _mm512_loadu_si512(w + (p + q) * 32);
+        for (int r = 0; r < R; ++r) {
+          v[r][q] = _mm512_dpwssd_epi32(v[r][q], wq,
+                                        _mm512_set1_epi32(pairs[r][p + q]));
+        }
+      }
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    sum[r] = _mm512_add_epi32(_mm512_add_epi32(v[r][0], v[r][1]),
+                              _mm512_add_epi32(v[r][2], v[r][3]));
+  }
 }
+
+/// Eight channels of vnni_requant_u8's arithmetic: v = acc + add (i32;
+/// fits by the plan's usability proof) -> codes in i64 lanes. vpmuldq
+/// reads the sign-extended low dwords, so the product is the exact 64-bit
+/// v * m0 (0 <= m0 < 2^31); vpsravq is an exact arithmetic shift.
+inline __m512i requant8(__m256i v, __m512i m0, __m512i shift, __m512i zyv,
+                        __m512i hiv) {
+  const __m512i prod = _mm512_mul_epi32(_mm512_cvtepi32_epi64(v), m0);
+  const __m512i y = _mm512_add_epi64(_mm512_srav_epi64(prod, shift), zyv);
+  return _mm512_min_epi64(_mm512_max_epi64(y, _mm512_setzero_si512()), hiv);
+}
+
+/// Requantizes lanes [0, len) of a 16-channel sum into out, with
+/// vnni_requant_u8's arithmetic (add/m0/shift at the lanes' columns).
+void requant16(__m512i sum, const std::int32_t* add, const std::int64_t* m0,
+               const std::int64_t* shift, std::int32_t zy, std::int32_t hi,
+               std::uint8_t* out, std::int64_t len) {
+  const __mmask16 m = static_cast<__mmask16>(len >= 16 ? 0xFFFF
+                                                       : (1u << len) - 1u);
+  const __m512i v = _mm512_add_epi32(sum, _mm512_maskz_loadu_epi32(m, add));
+  for (int h = 0; h < 2; ++h) {
+    const __mmask8 mh = static_cast<__mmask8>(m >> (8 * h));
+    if (mh == 0) break;
+    const __m512i y = requant8(
+        h != 0 ? _mm512_extracti64x4_epi64(v, 1) : _mm512_castsi512_si256(v),
+        _mm512_maskz_loadu_epi64(mh, m0 + 8 * h),
+        _mm512_maskz_loadu_epi64(mh, shift + 8 * h), _mm512_set1_epi64(zy),
+        _mm512_set1_epi64(hi));
+    // Codes are in [0, hi] <= 255: vpmovqb's truncation never loses bits.
+    _mm512_mask_cvtepi64_storeu_epi8(out + 8 * h, mh, y);
+  }
+}
+
+}  // namespace
 
 void vnni_requant_u8(const std::int32_t* acc, const std::int32_t* add,
                      const std::int64_t* m0, const std::int64_t* shift,
@@ -207,22 +302,15 @@ void vnni_requant_u8(const std::int32_t* acc, const std::int32_t* add,
                      std::int64_t n) {
   const __m512i zyv = _mm512_set1_epi64(zy);
   const __m512i hiv = _mm512_set1_epi64(hi);
-  const __m512i zero = _mm512_setzero_si512();
   std::int64_t c = 0;
   for (; c + 8 <= n; c += 8) {
     const __m256i a32 =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + c));
     const __m256i ad32 =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(add + c));
-    // v = acc + add fits int32 by the plan's usability proof; vpmuldq
-    // reads the (sign-extended) low dwords, so the product is the exact
-    // 64-bit v * m0 (0 <= m0 < 2^31).
-    const __m512i v = _mm512_cvtepi32_epi64(_mm256_add_epi32(a32, ad32));
-    const __m512i prod = _mm512_mul_epi32(v, _mm512_loadu_si512(m0 + c));
-    const __m512i sh = _mm512_loadu_si512(shift + c);
-    __m512i y = _mm512_add_epi64(_mm512_srav_epi64(prod, sh), zyv);
-    y = _mm512_max_epi64(y, zero);
-    y = _mm512_min_epi64(y, hiv);
+    const __m512i y = requant8(_mm256_add_epi32(a32, ad32),
+                               _mm512_loadu_si512(m0 + c),
+                               _mm512_loadu_si512(shift + c), zyv, hiv);
     // Codes are in [0, hi] <= 255: vpmovqb's truncation never loses bits.
     _mm_storel_epi64(reinterpret_cast<__m128i*>(out + c),
                      _mm512_cvtepi64_epi8(y));
@@ -235,7 +323,50 @@ void vnni_requant_u8(const std::int32_t* acc, const std::int32_t* add,
   }
 }
 
-#else  // !MIXQ_VNNI_NATIVE: portable scalar bodies, identical arithmetic.
+void vnni_gemm_s16(const std::uint8_t* a0, std::int64_t stride0,
+                   const std::uint8_t* a1, std::int64_t stride1,
+                   std::int64_t segp, const std::int16_t* block,
+                   std::int64_t k0, std::int64_t k1, std::int32_t* acc0,
+                   std::int32_t* acc1, int accumulate) {
+  const std::uint8_t* a[2] = {a0, a1};
+  const std::int64_t stride[2] = {stride0, stride1};
+  std::int32_t* acc[2] = {acc0, acc1};
+  const int rows = a1 == nullptr ? 1 : 2;
+  __m512i sum[2];
+  if (rows == 1) {
+    s16_panel_mac<1>(a, stride, segp, block, k0, k1, sum);
+  } else {
+    s16_panel_mac<2>(a, stride, segp, block, k0, k1, sum);
+  }
+  for (int r = 0; r < rows; ++r) {
+    if (accumulate) {
+      sum[r] = _mm512_add_epi32(sum[r], _mm512_loadu_si512(acc[r]));
+    }
+    _mm512_storeu_si512(acc[r], sum[r]);
+  }
+}
+
+void vnni_gemm_s16_requant(const std::uint8_t* a0, std::int64_t stride0,
+                           const std::uint8_t* a1, std::int64_t stride1,
+                           std::int64_t segp, const std::int16_t* block,
+                           std::int64_t kp, const std::int32_t* add,
+                           const std::int64_t* m0, const std::int64_t* shift,
+                           std::int32_t zy, std::int32_t hi,
+                           std::uint8_t* out0, std::uint8_t* out1,
+                           std::int64_t len) {
+  const std::uint8_t* a[2] = {a0, a1};
+  const std::int64_t stride[2] = {stride0, stride1};
+  __m512i sum[2];
+  if (a1 == nullptr) {
+    s16_panel_mac<1>(a, stride, segp, block, 0, kp, sum);
+  } else {
+    s16_panel_mac<2>(a, stride, segp, block, 0, kp, sum);
+    requant16(sum[1], add, m0, shift, zy, hi, out1, len);
+  }
+  requant16(sum[0], add, m0, shift, zy, hi, out0, len);
+}
+
+#else  // !MIXQ_VNNI_NATIVE: portable bodies, identical arithmetic.
 
 void vnni_gemm_x1(const std::uint8_t* a, const std::int8_t* block,
                   std::int64_t klen, std::int32_t* acc, int accumulate) {
@@ -258,30 +389,35 @@ void vnni_gemm_x2(const std::uint8_t* a0, const std::uint8_t* a1,
 void vnni_dw_dot_u8s16p(const std::uint8_t* x, const std::int64_t* toff,
                         const std::int16_t* wtp, std::int64_t taps,
                         std::int64_t C, std::int32_t* acc) {
-  for (std::int64_t c = 0; c < C; ++c) {
-    std::int32_t s = 0;
-    for (std::int64_t t = 0; t < taps; ++t) {
-      s += static_cast<std::int32_t>(x[toff[t] + c]) *
-           wtp[(t / 2) * 2 * C + 2 * c + (t & 1)];
-    }
-    acc[c] = s;
-  }
+  dw_dot_u8s16p(x, toff, wtp, taps, C, acc);
 }
 
 void vnni_mac_u8s16(std::int32_t* acc, const std::uint8_t* x,
                     const std::int16_t* w, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    acc[i] += static_cast<std::int32_t>(x[i]) * w[i];
-  }
+  mac_u8s16(acc, x, w, n);
 }
 
-std::int32_t vnni_dot_u8s16(const std::uint8_t* a, const std::int16_t* w,
-                            std::int64_t n) {
-  std::int32_t s = 0;
-  for (std::int64_t k = 0; k < n; ++k) {
-    s += static_cast<std::int32_t>(a[k]) * w[k];
-  }
-  return s;
+void vnni_gemm_s16(const std::uint8_t* a0, std::int64_t stride0,
+                   const std::uint8_t* a1, std::int64_t stride1,
+                   std::int64_t segp, const std::int16_t* block,
+                   std::int64_t k0, std::int64_t k1, std::int32_t* acc0,
+                   std::int32_t* acc1, int accumulate) {
+  gemm_s16(a0, stride0, a1, stride1, segp, block, k0, k1, acc0, acc1,
+           accumulate != 0);
+}
+
+void vnni_gemm_s16_requant(const std::uint8_t* a0, std::int64_t stride0,
+                           const std::uint8_t* a1, std::int64_t stride1,
+                           std::int64_t segp, const std::int16_t* block,
+                           std::int64_t kp, const std::int32_t* add,
+                           const std::int64_t* m0, const std::int64_t* shift,
+                           std::int32_t zy, std::int32_t hi,
+                           std::uint8_t* out0, std::uint8_t* out1,
+                           std::int64_t len) {
+  std::int32_t acc[2][16];
+  gemm_s16(a0, stride0, a1, stride1, segp, block, 0, kp, acc[0], acc[1]);
+  vnni_requant_u8(acc[0], add, m0, shift, zy, hi, out0, len);
+  if (a1 != nullptr) vnni_requant_u8(acc[1], add, m0, shift, zy, hi, out1, len);
 }
 
 void vnni_requant_u8(const std::int32_t* acc, const std::int32_t* add,
@@ -289,10 +425,8 @@ void vnni_requant_u8(const std::int32_t* acc, const std::int32_t* add,
                      std::int32_t zy, std::int32_t hi, std::uint8_t* out,
                      std::int64_t n) {
   for (std::int64_t c = 0; c < n; ++c) {
-    const std::int64_t v = static_cast<std::int64_t>(acc[c]) + add[c];
-    const std::int64_t y =
-        static_cast<std::int64_t>(zy) + ((v * m0[c]) >> shift[c]);
-    out[c] = static_cast<std::uint8_t>(y < 0 ? 0 : (y > hi ? hi : y));
+    out[c] = static_cast<std::uint8_t>(requant_icn_one(
+        static_cast<std::int64_t>(acc[c]) + add[c], m0[c], shift[c], zy, hi));
   }
 }
 

@@ -4,10 +4,11 @@
 // MACs per instruction, accumulating straight into i32 lanes -- no
 // intermediate i16 pair sums, so the AVX2 panel's
 // max(|w[2k]| + |w[2k+1]|) * qmax(qx) <= 32767 eligibility bound does not
-// apply), a vpdpwssd depthwise variant over the same pair-interleaved s16
-// bank the AVX2 kernel uses, elementwise/dot u8 x s16 variants for the
-// depthwise border path, and an exact-arithmetic-shift requantizer
-// (vpsravq needs no unsigned bias trick).
+// apply), vpdpwssd bodies for the s16 banks the AVX2 kernels use (the
+// u8 x s16 pair-panel GEMM and the pair-interleaved depthwise), an
+// elementwise u8 x s16 MAC for the depthwise border path, and an
+// exact-arithmetic-shift requantizer (vpsravq needs no unsigned bias
+// trick).
 //
 // ODR / miscompile isolation: this header carries DECLARATIONS ONLY -- no
 // inline kernels. The implementations live in simd_vnni.cpp, the one
@@ -97,9 +98,30 @@ void vnni_dw_dot_u8s16p(const std::uint8_t* x, const std::int64_t* toff,
 void vnni_mac_u8s16(std::int32_t* acc, const std::uint8_t* x,
                     const std::int16_t* w, std::int64_t n);
 
-/// Row dot sum_k a[k] * w[k] (u8 x s16 remainder/bench reference).
-std::int32_t vnni_dot_u8s16(const std::uint8_t* a, const std::int16_t* w,
-                            std::int64_t n);
+/// u8 x s16 pair panel (layout: gemm_s16_index in simd.hpp), one or two
+/// rows (a1 == nullptr: one): acc_r[j] (+)= sum over padded k in [k0, k1)
+/// (both even) of A_r[k] * W[block j][k], row r's segment s being `segp`
+/// bytes at a_r + s * stride_r. One vpdpwssd per pair step and 16
+/// channels, the pair broadcast from a widened copy; reads no byte past a
+/// segment's padded end. Bit-exact with gemm_s16.
+void vnni_gemm_s16(const std::uint8_t* a0, std::int64_t stride0,
+                   const std::uint8_t* a1, std::int64_t stride1,
+                   std::int64_t segp, const std::int16_t* block,
+                   std::int64_t k0, std::int64_t k1, std::int32_t* acc0,
+                   std::int32_t* acc1, int accumulate);
+
+/// vnni_gemm_s16 over the whole padded depth kp, fused with
+/// vnni_requant_u8 on the block's first `len` (<= 16) channels (add/m0/
+/// shift point at the block's table columns) into out0 (and out1): the
+/// accumulators never leave registers.
+void vnni_gemm_s16_requant(const std::uint8_t* a0, std::int64_t stride0,
+                           const std::uint8_t* a1, std::int64_t stride1,
+                           std::int64_t segp, const std::int16_t* block,
+                           std::int64_t kp, const std::int32_t* add,
+                           const std::int64_t* m0, const std::int64_t* shift,
+                           std::int32_t zy, std::int32_t hi,
+                           std::uint8_t* out0, std::uint8_t* out1,
+                           std::int64_t len);
 
 /// Requantize n channels: out[c] = clamp(zy + ((acc[c]+add[c]) * m0[c])
 /// >>arith shift[c], 0, hi) -- identical arithmetic to requant_icn_one.

@@ -183,8 +183,9 @@ class JsonLexer {
     }
   }
 
-  /// The number at the cursor: -?digits(.digits)?([eE][+-]?digits)?, read
-  /// as the nearest double. A decimal of at most 19 digits whose mantissa
+  /// The number at the cursor: -?int(.digits)?([eE][+-]?digits)?, int being
+  /// 0 or a digit string without a leading zero, read as the nearest
+  /// double. A decimal of at most 19 digits whose mantissa
   /// is an exact double (<= 2^53) and whose power of ten is one too
   /// (|p| <= 22) takes Clinger's fast path: one IEEE multiply or divide of
   /// two exact operands rounds correctly, so it yields the very double
@@ -216,7 +217,12 @@ class JsonLexer {
     };
     const bool negative = p != end && *p == '-';
     if (negative) ++p;
+    const char* const int_part = p;
     if (!digits(false)) fail_at("invalid number");
+    if (*int_part == '0' && p - int_part > 1) {  // RFC 8259: "01", "-01"
+      p = int_part + 1;
+      fail_at("leading zero in number");
+    }
     if (p != end && *p == '.') {
       ++p;
       if (!digits(true)) fail_at("invalid number fraction");

@@ -9,14 +9,17 @@
 // allocations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include "mcu/device.hpp"
 #include "mcu/memory_map.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/plan.hpp"
+#include "runtime/simd_vnni.hpp"
 #include "support/random_qlayer.hpp"
 
 // ---------------------------------------------------------------------------
@@ -395,6 +398,94 @@ TEST(PlanDomain, PanelTierStraddlesI16PairBound) {
     EXPECT_EQ(pl.w16.empty(), !over);
     expect_plan_bit_exact(net, plan,
                           over ? "pair bound exceeded" : "pair bound exact");
+  }
+}
+
+/// Offset weights at the 8-bit extremes: even channels at +255 (Zw = 0,
+/// codes 255), odd channels at -255 (Zw = 255, codes 0), with one code in
+/// seven random so the sums stay distinct. The small multipliers keep the
+/// requantized outputs off their clamps, so a wrong sum shows.
+QLayer extreme_s16_layer(QLayerKind kind, Shape in, std::int64_t co,
+                         std::int64_t k, std::int64_t stride,
+                         std::int64_t pad, Rng& rng) {
+  QLayer l = make_conv_family_layer(kind, in, co, k, stride, pad,
+                                    BitWidth::kQ8, BitWidth::kQ8,
+                                    BitWidth::kQ8, Scheme::kPCICN, rng, 1e-6,
+                                    2e-5);
+  const std::int64_t per = l.wshape.per_channel();
+  for (std::int64_t oc = 0; oc < co; ++oc) {
+    l.zw[static_cast<std::size_t>(oc)] = oc % 2 == 0 ? 0 : 255;
+    for (std::int64_t i = oc * per; i < (oc + 1) * per; ++i) {
+      const std::uint32_t code =
+          rng.uniform_int(7) == 0 ? static_cast<std::uint32_t>(
+                                        rng.uniform_int(256))
+          : oc % 2 == 0           ? 255u
+                                  : 0u;
+      l.weights.set(i, code);
+    }
+  }
+  return l;
+}
+
+/// The u8 x s16 pair panel, gather-free interior included: a KxK conv for
+/// Ci in 1..4 (odd and even kw*C), k in {1, 3, 5}, stride 1/2 and pad
+/// 0..2, a direct 1x1 conv (odd K) on its output and a linear layer, each
+/// compiled as its own headless net so every output code is compared. All
+/// weights sit at the +-255 offset extremes and co is not a multiple of
+/// 16; the all-255 image of expect_plan_bit_exact drives the activations
+/// to 255. Every case runs the AVX2/scalar body (Vnni::kOff) and the
+/// vpdpwssd body (kForce), unblocked and with a fixed K/N-blocked tile.
+TEST(PlanDomain, S16PairPanelMatchesReference) {
+  const bool vnni_runnable = !simd::vnni_compiled() || simd::vnni_cpu();
+  Rng rng(35);
+  const auto check = [&](const QLayer& layer, const std::string& what) {
+    QuantizedNet net;
+    net.input_qp = core::make_quant_params(0.0f, 1.0f, BitWidth::kQ8);
+    net.layers.push_back(layer);
+    net.validate();
+    for (const auto vnni :
+         {PlanOptions::Vnni::kOff, PlanOptions::Vnni::kForce}) {
+      if (vnni == PlanOptions::Vnni::kForce && !vnni_runnable) continue;
+      for (const bool blocked : {false, true}) {
+        PlanOptions opts;
+        opts.vnni = vnni;
+        opts.autotune = PlanOptions::Autotune::kFixed;
+        if (blocked) opts.fixed_tile = TileConfig{16, 4, 16};
+        const ExecutionPlan plan(net, opts);
+        const std::string label =
+            what + (vnni == PlanOptions::Vnni::kForce ? " vnni" : " off") +
+            (blocked ? " blocked" : "");
+        const PlannedLayer& pl = plan.layers().front();
+        ASSERT_EQ(pl.domain, ExecDomain::kI8) << label;
+        ASSERT_FALSE(pl.w16.empty()) << label;
+        EXPECT_EQ(pl.tier, vnni == PlanOptions::Vnni::kForce
+                               ? KernelTier::kVnni
+                               : KernelTier::kU8S16)
+            << label;
+        expect_plan_bit_exact(net, plan, label);
+      }
+    }
+  };
+  for (std::int64_t ci = 1; ci <= 4; ++ci) {
+    for (const std::int64_t k : {1, 3, 5}) {
+      for (std::int64_t stride = 1; stride <= 2; ++stride) {
+        for (std::int64_t pad = 0; pad < std::min<std::int64_t>(k, 3);
+             ++pad) {
+          const std::string what =
+              "ci=" + std::to_string(ci) + " k=" + std::to_string(k) +
+              " s=" + std::to_string(stride) + " p=" + std::to_string(pad);
+          const QLayer conv = extreme_s16_layer(
+              QLayerKind::kConv, Shape(1, 7, 6, ci), 19, k, stride, pad, rng);
+          check(conv, what);
+          const QLayer pw = extreme_s16_layer(
+              QLayerKind::kConv, conv.out_shape, 17, 1, 1, 0, rng);
+          check(pw, what + " 1x1");
+          check(extreme_s16_layer(QLayerKind::kLinear, pw.out_shape, 5, 1,
+                                  1, 0, rng),
+                what + " linear");
+        }
+      }
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 
 #include "core/icn.hpp"
 #include "runtime/simd.hpp"
+#include "support/s16_panel_case.hpp"
 #include "tensor/rng.hpp"
 
 namespace mixq::runtime {
@@ -252,55 +253,33 @@ TEST(SimdNarrow, GemmPanelU8S8MatchesScalar) {
   }
 }
 
-TEST(SimdNarrow, DotU8S16BlocksMatchScalar) {
-  Rng rng(22);
-  for (const std::int64_t n : kSizes) {
-    const auto a0 = random_u8(rng, n, 0, 255);
-    const auto a1 = random_u8(rng, n, 0, 255);
-    std::vector<std::vector<std::int16_t>> w;
-    for (int j = 0; j < 4; ++j) {
-      std::vector<std::int16_t> row(static_cast<std::size_t>(n));
-      for (auto& v : row) {
-        v = static_cast<std::int16_t>(
-            static_cast<int>(rng.uniform_int(511)) - 255);
-      }
-      w.push_back(std::move(row));
+TEST(SimdNarrow, S16PackLayoutIsABijectionOntoThePanel) {
+  const std::int64_t co = 21, nseg = 3, seg = 9;
+  const std::int64_t kp = nseg * simd::round_up(seg, 2);
+  EXPECT_EQ(kp, 30);  // a 3x3x3 stem: 15 pairs
+  const std::int64_t elems = simd::gemm_s16_panel_elems(co, kp);
+  EXPECT_EQ(elems, 32 * kp);
+  std::vector<int> hits(static_cast<std::size_t>(elems), 0);
+  for (std::int64_t oc = 0; oc < co; ++oc) {
+    for (std::int64_t k = 0; k < kp; ++k) {
+      const std::int64_t idx = simd::gemm_s16_index(kp, oc, k);
+      ASSERT_GE(idx, 0);
+      ASSERT_LT(idx, elems);
+      ++hits[static_cast<std::size_t>(idx)];
     }
-    std::int32_t e0[4], e1[4];
-    for (int j = 0; j < 4; ++j) {
-      std::int32_t s0 = 7 + j, s1 = -j;
-      for (std::int64_t k = 0; k < n; ++k) {
-        s0 += static_cast<std::int32_t>(a0[static_cast<std::size_t>(k)]) *
-              w[static_cast<std::size_t>(j)][static_cast<std::size_t>(k)];
-        s1 += static_cast<std::int32_t>(a1[static_cast<std::size_t>(k)]) *
-              w[static_cast<std::size_t>(j)][static_cast<std::size_t>(k)];
-      }
-      e0[j] = s0;
-      e1[j] = s1;
-    }
-    std::int32_t o0[4] = {7, 8, 9, 10};
-    std::int32_t o1[4] = {0, -1, -2, -3};
-    simd::dot2x4_u8s16(a0.data(), a1.data(), w[0].data(), w[1].data(),
-                       w[2].data(), w[3].data(), n, o0, o1);
-    for (int j = 0; j < 4; ++j) {
-      EXPECT_EQ(o0[j], e0[j]) << "row0 ch" << j << " n=" << n;
-      EXPECT_EQ(o1[j], e1[j]) << "row1 ch" << j << " n=" << n;
-    }
-    std::int32_t o2[4] = {7, 8, 9, 10};
-    simd::dot1x4_u8s16(a0.data(), w[0].data(), w[1].data(), w[2].data(),
-                       w[3].data(), n, o2);
-    for (int j = 0; j < 4; ++j) {
-      EXPECT_EQ(o2[j], e0[j]) << "1x4 ch" << j << " n=" << n;
-    }
-    std::int32_t expect_dot = 0;
-    for (std::int64_t k = 0; k < n; ++k) {
-      expect_dot +=
-          static_cast<std::int32_t>(a0[static_cast<std::size_t>(k)]) *
-          w[0][static_cast<std::size_t>(k)];
-    }
-    EXPECT_EQ(simd::dot_u8s16(a0.data(), w[0].data(), n), expect_dot)
-        << "n=" << n;
   }
+  for (const int h : hits) EXPECT_LE(h, 1);
+}
+
+TEST(SimdNarrow, S16PairPanelMatchesScalar) {
+  test::check_s16_panel_shapes(
+      [](const std::uint8_t* a0, std::int64_t s0, const std::uint8_t* a1,
+         std::int64_t s1, std::int64_t segp, const std::int16_t* block,
+         std::int64_t k0, std::int64_t k1, std::int32_t* acc0,
+         std::int32_t* acc1, bool accumulate) {
+        simd::gemm_s16(a0, s0, a1, s1, segp, block, k0, k1, acc0, acc1,
+                       accumulate);
+      });
 }
 
 TEST(SimdNarrow, DwPairDotMatchesScalar) {

@@ -16,6 +16,7 @@
 
 #include "runtime/simd.hpp"
 #include "runtime/simd_vnni.hpp"
+#include "support/s16_panel_case.hpp"
 #include "tensor/rng.hpp"
 
 namespace mixq::runtime {
@@ -227,7 +228,7 @@ TEST(SimdVnni, DwDotMatchesScalar) {
   }
 }
 
-TEST(SimdVnni, MacAndDotMatchScalar) {
+TEST(SimdVnni, MacMatchesScalar) {
   SKIP_IF_NOT_RUNNABLE();
   Rng rng(15);
   for (const std::int64_t n : {std::int64_t{0}, std::int64_t{1},
@@ -242,18 +243,74 @@ TEST(SimdVnni, MacAndDotMatchScalar) {
     }
     std::vector<std::int32_t> acc(static_cast<std::size_t>(n), 3);
     std::vector<std::int32_t> expect(static_cast<std::size_t>(n), 3);
-    std::int32_t dot_expect = 0;
     for (std::int64_t i = 0; i < n; ++i) {
-      const std::int32_t p =
+      expect[static_cast<std::size_t>(i)] +=
           static_cast<std::int32_t>(x[static_cast<std::size_t>(i)]) *
           w[static_cast<std::size_t>(i)];
-      expect[static_cast<std::size_t>(i)] += p;
-      dot_expect += p;
     }
     simd::vnni_mac_u8s16(acc.data(), x.data(), w.data(), n);
     EXPECT_EQ(acc, expect) << "n=" << n;
-    EXPECT_EQ(simd::vnni_dot_u8s16(x.data(), w.data(), n), dot_expect)
-        << "n=" << n;
+  }
+}
+
+TEST(SimdVnni, S16PairPanelMatchesScalar) {
+  SKIP_IF_NOT_RUNNABLE();
+  test::check_s16_panel_shapes(
+      [](const std::uint8_t* a0, std::int64_t s0, const std::uint8_t* a1,
+         std::int64_t s1, std::int64_t segp, const std::int16_t* block,
+         std::int64_t k0, std::int64_t k1, std::int32_t* acc0,
+         std::int32_t* acc1, bool accumulate) {
+        simd::vnni_gemm_s16(a0, s0, a1, s1, segp, block, k0, k1, acc0, acc1,
+                            accumulate ? 1 : 0);
+      });
+}
+
+/// The fused epilogue requantizes exactly like the unfused pair: one and
+/// two rows, full and partial channel blocks, extreme and random data.
+TEST(SimdVnni, S16PairPanelRequantMatchesUnfused) {
+  SKIP_IF_NOT_RUNNABLE();
+  Rng rng(17);
+  const std::int64_t nseg = 3, seg = 9, segp = 10, kp = 30;
+  std::vector<std::int32_t> w(static_cast<std::size_t>(16 * nseg * seg));
+  std::vector<std::int16_t> panel(
+      static_cast<std::size_t>(simd::gemm_s16_panel_elems(16, kp)));
+  std::vector<std::uint8_t> x(static_cast<std::size_t>(3 * 64 + 32));
+  std::vector<std::int32_t> add(16);
+  std::vector<std::int64_t> m0(16), shift(16);
+  for (int trial = 0; trial < 40; ++trial) {
+    const bool extreme = trial % 4 == 0;
+    for (auto& v : w) {
+      v = extreme ? (rng.uniform_int(2) != 0u ? 255 : -255)
+                  : static_cast<std::int32_t>(rng.uniform_int(511)) - 255;
+    }
+    simd::gemm_s16_pack(w.data(), 16, nseg, seg, panel.data());
+    for (auto& v : x) {
+      v = extreme ? 255 : static_cast<std::uint8_t>(rng.uniform_int(256));
+    }
+    for (std::size_t c = 0; c < 16; ++c) {
+      add[c] = static_cast<std::int32_t>(rng.uniform_int(1u << 20)) - (1 << 19);
+      m0[c] = 1 + static_cast<std::int64_t>(rng.uniform_int(0x7fffffffu));
+      shift[c] = 40 + static_cast<std::int64_t>(rng.uniform_int(8));
+    }
+    const std::int32_t zy = static_cast<std::int32_t>(rng.uniform_int(16));
+    const std::int64_t len = 1 + trial % 16;
+    const bool two = trial % 2 == 0;
+    const std::uint8_t* a1 = two ? x.data() + 24 : nullptr;
+    std::vector<std::int32_t> acc(32);
+    simd::vnni_gemm_s16(x.data(), 64, a1, 64, segp, panel.data(), 0, kp,
+                        acc.data(), acc.data() + 16, 0);
+    std::vector<std::uint8_t> want(32, 0xAA), got(32, 0xAA);
+    simd::vnni_requant_u8(acc.data(), add.data(), m0.data(), shift.data(), zy,
+                          255, want.data(), len);
+    if (two) {
+      simd::vnni_requant_u8(acc.data() + 16, add.data(), m0.data(),
+                            shift.data(), zy, 255, want.data() + 16, len);
+    }
+    simd::vnni_gemm_s16_requant(x.data(), 64, a1, 64, segp, panel.data(), kp,
+                                add.data(), m0.data(), shift.data(), zy, 255,
+                                got.data(), two ? got.data() + 16 : nullptr,
+                                len);
+    EXPECT_EQ(got, want) << "trial " << trial;
   }
 }
 

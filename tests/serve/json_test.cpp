@@ -60,6 +60,24 @@ TEST(Json, RejectsMalformed) {
   }
 }
 
+TEST(Json, RejectsLeadingZerosPerRfc8259) {
+  for (const char* s : {"01", "-01", "00", "-00", "00.5", "007e1", "[1,02]",
+                        "{\"a\":0123}"}) {
+    EXPECT_THROW(parse_json(s), std::runtime_error);
+  }
+  try {
+    parse_json("-01");
+    ADD_FAILURE() << "-01 parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "json: leading zero in number at byte 2");
+  }
+  for (const char* s : {"0", "-0", "0.5", "-0.05", "0e5", "0E-1", "10",
+                        "100.001", "[0,10]"}) {
+    EXPECT_NO_THROW(parse_json(s));
+  }
+}
+
 TEST(Json, DepthLimitHolds) {
   std::string deep;
   for (int i = 0; i < kJsonMaxDepth + 8; ++i) deep += "[";

@@ -19,6 +19,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <set>
@@ -436,13 +437,15 @@ TEST(EpollServer, SlowClientDisconnectedAtOutboxBound) {
   Client c;
   ASSERT_TRUE(c.connect_tcp(h.port()));
   c.shrink_rcvbuf(2048);
-  // ~95 bytes of response per 15-byte request, never read back.
+  // ~95 bytes of response per 15-byte request, never read back. Send
+  // until the server cuts the connection, however long the loopback
+  // buffers absorb lines first (a slow, e.g. sanitized, server), up to a
+  // wall-clock limit.
   bool cut = false;
-  for (int i = 0; i < 20'000; ++i) {
-    if (!c.send_line("{\"cmd\":\"info\"}")) {
-      cut = true;
-      break;
-    }
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!cut && std::chrono::steady_clock::now() < give_up) {
+    cut = !c.send_line("{\"cmd\":\"info\"}");
   }
   EXPECT_TRUE(cut) << "server absorbed an unbounded response backlog";
   c.close();

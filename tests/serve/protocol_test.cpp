@@ -248,6 +248,30 @@ TEST(Protocol, IntegerIdEdges) {
   EXPECT_EQ(scan("{\"id\":-0,\"input\":[1,2,3]}").request.id, 0);
 }
 
+TEST(Protocol, LeadingZerosAreMalformed) {
+  const std::vector<std::string> bad = {
+      "{\"id\":01,\"input\":[1,2,3]}",
+      "{\"id\":1,\"input\":[1,-01,3]}",
+      "{\"id\":1,\"input\":[1,2,00.5]}",
+      "{\"cmd\":\"stats\",\"x\":[007]}",
+  };
+  for (const std::string& line : bad) {
+    const ParsedLine p = scan(line);
+    EXPECT_EQ(p.kind, ParsedLine::Kind::kError) << line;
+    EXPECT_EQ(p.code, ErrCode::kMalformed) << line;
+    EXPECT_NE(p.error.find("leading zero"), std::string::npos) << p.error;
+  }
+  expect_agree(bad);
+  const std::vector<std::string> good = {
+      "{\"id\":0,\"input\":[0,-0,0.5]}",
+      "{\"id\":10,\"input\":[-0.05,0e1,100]}",
+  };
+  for (const std::string& line : good) {
+    EXPECT_EQ(scan(line).kind, ParsedLine::Kind::kRequest) << line;
+  }
+  expect_agree(good);
+}
+
 TEST(Protocol, DeadlineBounds) {
   std::vector<std::string> lines;
   for (const char* dl : {"0", "1", "3600000", "3600001", "1.5", "-1", "1e3",

@@ -54,7 +54,7 @@ struct GemmShape {
   std::int64_t kp{0};          ///< padded depth (bytes per u8 im2col row)
   std::int64_t ocb{0};         ///< channel block of the tier's micro-kernel
   std::int64_t wbytes{0};      ///< packed weight bytes (panels: 1, s16: 2)
-  std::int64_t kq{0};          ///< K-block quantum (panels: 4, s16 rows: 16)
+  std::int64_t kq{0};          ///< K-block quantum (s8 panels: 4, s16: 2)
 };
 
 /// Cache-aware analytical model:

@@ -271,14 +271,16 @@ int main(int argc, char** argv) {
   if (out_file.has_parent_path()) {
     std::filesystem::create_directories(out_file.parent_path());
   }
+  // Describe the tree before opening the output: truncating a tracked
+  // baseline file would itself make the tree dirty.
+  const std::string git = git_describe();
+  const bool git_dirty =
+      git.size() >= 6 && git.compare(git.size() - 6, 6, "-dirty") == 0;
   std::ofstream os(out_file);
   if (!os) {
     std::cerr << "bench_runtime: cannot write " << out_path << "\n";
     return 1;
   }
-  const std::string git = git_describe();
-  const bool git_dirty =
-      git.size() >= 6 && git.compare(git.size() - 6, 6, "-dirty") == 0;
   os << "{\n"
      << "  \"workload\": \"mobilenet-class 48x48x3, mixed 2/4/8-bit, "
         "PC+ICN\",\n"

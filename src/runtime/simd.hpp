@@ -872,10 +872,11 @@ inline void gemm_s16_rows(const std::uint8_t* const (&a)[R],
     for_each_s16_piece(segp, k0, k1, [&](std::int64_t s, std::int64_t i,
                                          std::int64_t k, std::int64_t n) {
       const std::uint8_t* x = a[r] + s * stride[r] + i;
-      for (std::int64_t q = 0; q < n; ++q) {
-        const std::int16_t* w = block + ((k + q) / 2) * 32 + (k + q) % 2;
+      const std::int16_t* w = block + k * 16;
+      for (std::int64_t q = 0; q < n; q += 2, w += 32) {
         for (std::int64_t j = 0; j < 16; ++j) {
-          sum[j] += static_cast<std::int32_t>(x[q]) * w[j * 2];
+          sum[j] += static_cast<std::int32_t>(x[q]) * w[2 * j] +
+                    static_cast<std::int32_t>(x[q + 1]) * w[2 * j + 1];
         }
       }
     });

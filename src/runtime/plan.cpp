@@ -623,9 +623,9 @@ struct ARow {
 /// (vpdpwssd on the VNNI tier, else vpmaddwd), the VNNI s8 panel
 /// (vpdpbusd, no pair bound) or the AVX2-era s8 panel (i16-pair bound
 /// proven). K blocks after the first accumulate exact i32 partial sums.
-inline void panel_block(const PlannedLayer& pl, std::int64_t ocb,
-                        const ARow& r0, const ARow& r1, std::int64_t cb,
-                        std::int64_t k0, std::int64_t k1, std::int32_t* acc0,
+inline void panel_block(const PlannedLayer& pl, const ARow& r0,
+                        const ARow& r1, std::int64_t cb, std::int64_t k0,
+                        std::int64_t k1, std::int32_t* acc0,
                         std::int32_t* acc1) {
   const bool accum = k0 > 0;
   const bool vnni = pl.tier == KernelTier::kVnni;
@@ -640,7 +640,7 @@ inline void panel_block(const PlannedLayer& pl, std::int64_t ocb,
     }
     return;
   }
-  const std::int8_t* blk = pl.w8.data() + cb * pl.kp + (k0 / 4) * ocb * 4;
+  const std::int8_t* blk = pl.w8.data() + cb * pl.kp + (k0 / 4) * pl.ocb * 4;
   const std::int64_t klen = k1 - k0;
   if (r1.a == nullptr) {
     if (vnni) {
@@ -672,39 +672,17 @@ void gemm8_rows(const PlannedLayer& pl, RowFn&& row, std::int64_t m0,
   const std::int64_t co_pad = pl.co_pad;
   const std::int64_t kb = pl.tile.kb > 0 ? pl.tile.kb : kp;
   const std::int64_t nb = pl.tile.nb > 0 ? pl.tile.nb : co_pad;
-  const std::int64_t ocb = !pl.w16.empty() ? simd::gemm_s16_ocb()
-                           : pl.tier == KernelTier::kVnni
-                               ? simd::vnni_ocb()
-                               : simd::gemm_u8s8_ocb();
-  // VNNI s16 layers storing u8 over the whole depth fuse the requant into
-  // the kernel: pixel pairs never round-trip through row_acc.
-  const bool fused = std::is_same_v<OutT, std::uint8_t> &&
-                     pl.tier == KernelTier::kVnni && !pl.w16.empty() &&
-                     kb == kp;
   std::int32_t* acc1 = row_acc + co_pad;
   for (std::int64_t m = m0; m < m1; m += 2) {
     const bool two = m + 1 < m1;
     const ARow r0 = row(m);
     const ARow r1 = two ? row(m + 1) : ARow{nullptr, 0};
-    if constexpr (std::is_same_v<OutT, std::uint8_t>) {
-      if (fused) {
-        for (std::int64_t cb = 0; cb < co; cb += ocb) {
-          simd::vnni_gemm_s16_requant(
-              r0.a, r0.stride, r1.a, r1.stride, pl.segp,
-              pl.w16.data() + cb * kp, kp, pl.rq.add.data() + cb,
-              pl.rq.m0.data() + cb, pl.rq.shift.data() + cb, pl.rq.zy,
-              pl.rq.hi, out + m * co + cb,
-              two ? out + (m + 1) * co + cb : nullptr, std::min(ocb, co - cb));
-        }
-        continue;
-      }
-    }
     for (std::int64_t c0 = 0; c0 < co_pad; c0 += nb) {
       const std::int64_t c1 = std::min(co_pad, c0 + nb);
       for (std::int64_t k0 = 0; k0 < kp; k0 += kb) {
         const std::int64_t k1 = std::min(kp, k0 + kb);
-        for (std::int64_t cb = c0; cb < c1; cb += ocb) {
-          panel_block(pl, ocb, r0, r1, cb, k0, k1, row_acc + cb, acc1 + cb);
+        for (std::int64_t cb = c0; cb < c1; cb += pl.ocb) {
+          panel_block(pl, r0, r1, cb, k0, k1, row_acc + cb, acc1 + cb);
         }
       }
       const std::int64_t len = std::min(c1, co) - c0;
@@ -1063,22 +1041,19 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
           }
         }
         const bool fits_s8 = wmin >= -128 && wmax <= 127;
-        const bool s8_pairs = fits_s8 && pair_max * amax <= 32767;
-        if (vnni_want) {
-          pl.tier = KernelTier::kVnni;
-        } else {
-          pl.tier = s8_pairs ? KernelTier::kS8Panel : KernelTier::kU8S16;
-        }
+        pl.tier = vnni_want ? KernelTier::kVnni
+                  : fits_s8 && pair_max * amax <= 32767 ? KernelTier::kS8Panel
+                                                        : KernelTier::kU8S16;
         pl.i8_panel = pl.tier == KernelTier::kS8Panel;
         if (vnni_want && fits_s8) {
           pl.kp = simd::vnni_kp(per);
-          pl.co_pad = simd::round_up(co, simd::vnni_ocb());
+          pl.ocb = simd::vnni_ocb();
           pl.w8.resize(
               static_cast<std::size_t>(simd::vnni_panel_elems(co, per)));
           simd::vnni_pack(pl.w.data(), co, per, pl.w8.data());
         } else if (pl.i8_panel) {
           pl.kp = simd::gemm_u8s8_kp(per);
-          pl.co_pad = simd::round_up(co, simd::gemm_u8s8_ocb());
+          pl.ocb = simd::gemm_u8s8_ocb();
           pl.w8.resize(
               static_cast<std::size_t>(simd::gemm_u8s8_panel_elems(co, per)));
           simd::gemm_u8s8_pack(pl.w.data(), co, per, pl.w8.data());
@@ -1089,12 +1064,13 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
               l.kind == QLayerKind::kConv ? l.spec.kh : 1;
           pl.segp = simd::round_up(per / nseg, 2);
           pl.kp = nseg * pl.segp;
-          pl.co_pad = simd::round_up(co, simd::gemm_s16_ocb());
+          pl.ocb = simd::gemm_s16_ocb();
           pl.w16.resize(
               static_cast<std::size_t>(simd::gemm_s16_panel_elems(co, pl.kp)));
           simd::gemm_s16_pack(pl.w.data(), co, nseg, per / nseg,
                               pl.w16.data());
         }
+        pl.co_pad = simd::round_up(co, pl.ocb);
         // Tile auto-tuning for the GEMM tiers: the analytic cache model,
         // optionally refined by the timing micro-probe, or the caller's
         // fixed tile. kb/nb are normalized to the bank's quanta so every
@@ -1106,9 +1082,7 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
                             : 1;
         gs.co_pad = pl.co_pad;
         gs.kp = pl.kp;
-        gs.ocb = s16 ? simd::gemm_s16_ocb()
-                 : pl.tier == KernelTier::kVnni ? simd::vnni_ocb()
-                                                : simd::gemm_u8s8_ocb();
+        gs.ocb = pl.ocb;
         gs.wbytes = s16 ? 2 : 1;
         gs.kq = s16 ? 2 : 4;
         switch (opts.autotune) {
@@ -1261,6 +1235,16 @@ void ExecutionPlan::run_layer_rows(const PlannedLayer& pl, PlanArenas& arenas,
 
   if (pl.domain == ExecDomain::kI8) {
     const std::uint8_t* x = arenas.arena8(pl.src);
+    // Narrow GEMM over pixels [m0, m1) into the output arena at its storage
+    // width, from output element `off` on.
+    const auto gemm = [&](auto&& row, std::int64_t m0, std::int64_t m1,
+                          std::int64_t off) {
+      if (pl.out_u8) {
+        gemm8_rows(pl, row, m0, m1, arenas.arena8(pl.dst) + off, row_acc);
+      } else {
+        gemm8_rows(pl, row, m0, m1, arenas.arena(pl.dst) + off, row_acc);
+      }
+    };
     switch (l.kind) {
       case QLayerKind::kConv: {
         const std::int64_t K = l.wshape.per_channel();
@@ -1268,14 +1252,8 @@ void ExecutionPlan::run_layer_rows(const PlannedLayer& pl, PlanArenas& arenas,
         const bool direct = l.spec.kh == 1 && l.spec.kw == 1 &&
                             l.spec.pad == 0 && l.spec.stride == 1;
         if (direct) {
-          const auto dense = [x, K](std::int64_t m) {
-            return ARow{x + m * K, 0};
-          };
-          if (pl.out_u8) {
-            gemm8_rows(pl, dense, r0, r1, arenas.arena8(pl.dst), row_acc);
-          } else {
-            gemm8_rows(pl, dense, r0, r1, arenas.arena(pl.dst), row_acc);
-          }
+          gemm([x, K](std::int64_t m) { return ARow{x + m * K, 0}; }, r0, r1,
+               0);
           return;
         }
         std::uint8_t* tile = arenas.lane_col8(lane);
@@ -1287,13 +1265,11 @@ void ExecutionPlan::run_layer_rows(const PlannedLayer& pl, PlanArenas& arenas,
           const std::int64_t C = l.in_shape.c;
           const std::int64_t row = l.in_shape.w * C;
           const std::int64_t ow_n = l.out_shape.w;
-          const std::int64_t stride = l.spec.stride;
-          const std::int64_t pad = l.spec.pad;
           std::int64_t oh = r0 / ow_n;
           std::int64_t ow = r0 % ow_n;
           const auto pixel = [&](std::int64_t m) {
-            const std::int64_t ih0 = oh * stride - pad;
-            const std::int64_t iw0 = ow * stride - pad;
+            const std::int64_t ih0 = oh * l.spec.stride - l.spec.pad;
+            const std::int64_t iw0 = ow * l.spec.stride - l.spec.pad;
             const bool interior = oh >= pl.oh0 && oh < pl.oh1 &&
                                   ow >= pl.ow0 && ow < pl.ow1;
             if (++ow == ow_n) {
@@ -1305,11 +1281,7 @@ void ExecutionPlan::run_layer_rows(const PlannedLayer& pl, PlanArenas& arenas,
             im2col8_pixel(pl, x, d, pl.segp, ih0, iw0);
             return ARow{d, pl.segp};
           };
-          if (pl.out_u8) {
-            gemm8_rows(pl, pixel, r0, r1, arenas.arena8(pl.dst), row_acc);
-          } else {
-            gemm8_rows(pl, pixel, r0, r1, arenas.arena(pl.dst), row_acc);
-          }
+          gemm(pixel, r0, r1, 0);
           return;
         }
         // s8 panels, cache-blocked: gather the autotuned number of output
@@ -1324,13 +1296,7 @@ void ExecutionPlan::run_layer_rows(const PlannedLayer& pl, PlanArenas& arenas,
         for (std::int64_t t0 = r0; t0 < r1; t0 += trows) {
           const std::int64_t t1 = std::min(r1, t0 + trows);
           im2col8_rows(pl, x, tile, t0, t1);
-          if (pl.out_u8) {
-            gemm8_rows(pl, tiled, 0, t1 - t0, arenas.arena8(pl.dst) + t0 * co,
-                       row_acc);
-          } else {
-            gemm8_rows(pl, tiled, 0, t1 - t0, arenas.arena(pl.dst) + t0 * co,
-                       row_acc);
-          }
+          gemm(tiled, 0, t1 - t0, t0 * co);
         }
         return;
       }
@@ -1341,15 +1307,9 @@ void ExecutionPlan::run_layer_rows(const PlannedLayer& pl, PlanArenas& arenas,
           depthwise8_rows(pl, x, arenas.arena(pl.dst), r0, r1, row_acc);
         }
         return;
-      case QLayerKind::kLinear: {
-        const auto vec = [x](std::int64_t) { return ARow{x, 0}; };
-        if (pl.out_u8) {
-          gemm8_rows(pl, vec, 0, 1, arenas.arena8(pl.dst), row_acc);
-        } else {
-          gemm8_rows(pl, vec, 0, 1, arenas.arena(pl.dst), row_acc);
-        }
+      case QLayerKind::kLinear:
+        gemm([x](std::int64_t) { return ARow{x, 0}; }, 0, 1, 0);
         return;
-      }
       case QLayerKind::kGlobalAvgPool:
         if (pl.out_u8) {
           gap8_plan(pl, x, arenas.arena8(pl.dst), row_acc);

@@ -173,7 +173,8 @@ struct PlannedLayer {
   /// segments (one per kernel row; 1 for GEMM/linear) of segp bytes.
   std::int64_t kp{0};
   std::int64_t segp{0};               ///< s16 pair panel: padded segment
-  std::int64_t co_pad{0};             ///< co rounded to the panel block
+  std::int64_t ocb{0};                ///< the panel bank's channel block
+  std::int64_t co_pad{0};             ///< co rounded to ocb
   std::vector<std::int8_t> w8;        ///< s8 GEMM panel (w16 empty)
   std::vector<std::int16_t> w16;      ///< s16 pair panel (u8s16 or vnni)
   std::vector<std::int16_t> wt16;     ///< depthwise tap-major s16 (border)

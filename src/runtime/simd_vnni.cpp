@@ -262,38 +262,6 @@ template <int R>
   }
 }
 
-/// Eight channels of vnni_requant_u8's arithmetic: v = acc + add (i32;
-/// fits by the plan's usability proof) -> codes in i64 lanes. vpmuldq
-/// reads the sign-extended low dwords, so the product is the exact 64-bit
-/// v * m0 (0 <= m0 < 2^31); vpsravq is an exact arithmetic shift.
-inline __m512i requant8(__m256i v, __m512i m0, __m512i shift, __m512i zyv,
-                        __m512i hiv) {
-  const __m512i prod = _mm512_mul_epi32(_mm512_cvtepi32_epi64(v), m0);
-  const __m512i y = _mm512_add_epi64(_mm512_srav_epi64(prod, shift), zyv);
-  return _mm512_min_epi64(_mm512_max_epi64(y, _mm512_setzero_si512()), hiv);
-}
-
-/// Requantizes lanes [0, len) of a 16-channel sum into out, with
-/// vnni_requant_u8's arithmetic (add/m0/shift at the lanes' columns).
-void requant16(__m512i sum, const std::int32_t* add, const std::int64_t* m0,
-               const std::int64_t* shift, std::int32_t zy, std::int32_t hi,
-               std::uint8_t* out, std::int64_t len) {
-  const __mmask16 m = static_cast<__mmask16>(len >= 16 ? 0xFFFF
-                                                       : (1u << len) - 1u);
-  const __m512i v = _mm512_add_epi32(sum, _mm512_maskz_loadu_epi32(m, add));
-  for (int h = 0; h < 2; ++h) {
-    const __mmask8 mh = static_cast<__mmask8>(m >> (8 * h));
-    if (mh == 0) break;
-    const __m512i y = requant8(
-        h != 0 ? _mm512_extracti64x4_epi64(v, 1) : _mm512_castsi512_si256(v),
-        _mm512_maskz_loadu_epi64(mh, m0 + 8 * h),
-        _mm512_maskz_loadu_epi64(mh, shift + 8 * h), _mm512_set1_epi64(zy),
-        _mm512_set1_epi64(hi));
-    // Codes are in [0, hi] <= 255: vpmovqb's truncation never loses bits.
-    _mm512_mask_cvtepi64_storeu_epi8(out + 8 * h, mh, y);
-  }
-}
-
 }  // namespace
 
 void vnni_requant_u8(const std::int32_t* acc, const std::int32_t* add,
@@ -302,15 +270,22 @@ void vnni_requant_u8(const std::int32_t* acc, const std::int32_t* add,
                      std::int64_t n) {
   const __m512i zyv = _mm512_set1_epi64(zy);
   const __m512i hiv = _mm512_set1_epi64(hi);
+  const __m512i zero = _mm512_setzero_si512();
   std::int64_t c = 0;
   for (; c + 8 <= n; c += 8) {
     const __m256i a32 =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + c));
     const __m256i ad32 =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(add + c));
-    const __m512i y = requant8(_mm256_add_epi32(a32, ad32),
-                               _mm512_loadu_si512(m0 + c),
-                               _mm512_loadu_si512(shift + c), zyv, hiv);
+    // v = acc + add fits int32 by the plan's usability proof; vpmuldq
+    // reads the (sign-extended) low dwords, so the product is the exact
+    // 64-bit v * m0 (0 <= m0 < 2^31).
+    const __m512i v = _mm512_cvtepi32_epi64(_mm256_add_epi32(a32, ad32));
+    const __m512i prod = _mm512_mul_epi32(v, _mm512_loadu_si512(m0 + c));
+    const __m512i sh = _mm512_loadu_si512(shift + c);
+    __m512i y = _mm512_add_epi64(_mm512_srav_epi64(prod, sh), zyv);
+    y = _mm512_max_epi64(y, zero);
+    y = _mm512_min_epi64(y, hiv);
     // Codes are in [0, hi] <= 255: vpmovqb's truncation never loses bits.
     _mm_storel_epi64(reinterpret_cast<__m128i*>(out + c),
                      _mm512_cvtepi64_epi8(y));
@@ -344,26 +319,6 @@ void vnni_gemm_s16(const std::uint8_t* a0, std::int64_t stride0,
     }
     _mm512_storeu_si512(acc[r], sum[r]);
   }
-}
-
-void vnni_gemm_s16_requant(const std::uint8_t* a0, std::int64_t stride0,
-                           const std::uint8_t* a1, std::int64_t stride1,
-                           std::int64_t segp, const std::int16_t* block,
-                           std::int64_t kp, const std::int32_t* add,
-                           const std::int64_t* m0, const std::int64_t* shift,
-                           std::int32_t zy, std::int32_t hi,
-                           std::uint8_t* out0, std::uint8_t* out1,
-                           std::int64_t len) {
-  const std::uint8_t* a[2] = {a0, a1};
-  const std::int64_t stride[2] = {stride0, stride1};
-  __m512i sum[2];
-  if (a1 == nullptr) {
-    s16_panel_mac<1>(a, stride, segp, block, 0, kp, sum);
-  } else {
-    s16_panel_mac<2>(a, stride, segp, block, 0, kp, sum);
-    requant16(sum[1], add, m0, shift, zy, hi, out1, len);
-  }
-  requant16(sum[0], add, m0, shift, zy, hi, out0, len);
 }
 
 #else  // !MIXQ_VNNI_NATIVE: portable bodies, identical arithmetic.
@@ -404,20 +359,6 @@ void vnni_gemm_s16(const std::uint8_t* a0, std::int64_t stride0,
                    std::int32_t* acc1, int accumulate) {
   gemm_s16(a0, stride0, a1, stride1, segp, block, k0, k1, acc0, acc1,
            accumulate != 0);
-}
-
-void vnni_gemm_s16_requant(const std::uint8_t* a0, std::int64_t stride0,
-                           const std::uint8_t* a1, std::int64_t stride1,
-                           std::int64_t segp, const std::int16_t* block,
-                           std::int64_t kp, const std::int32_t* add,
-                           const std::int64_t* m0, const std::int64_t* shift,
-                           std::int32_t zy, std::int32_t hi,
-                           std::uint8_t* out0, std::uint8_t* out1,
-                           std::int64_t len) {
-  std::int32_t acc[2][16];
-  gemm_s16(a0, stride0, a1, stride1, segp, block, 0, kp, acc[0], acc[1]);
-  vnni_requant_u8(acc[0], add, m0, shift, zy, hi, out0, len);
-  if (a1 != nullptr) vnni_requant_u8(acc[1], add, m0, shift, zy, hi, out1, len);
 }
 
 void vnni_requant_u8(const std::int32_t* acc, const std::int32_t* add,

@@ -110,19 +110,6 @@ void vnni_gemm_s16(const std::uint8_t* a0, std::int64_t stride0,
                    std::int64_t k0, std::int64_t k1, std::int32_t* acc0,
                    std::int32_t* acc1, int accumulate);
 
-/// vnni_gemm_s16 over the whole padded depth kp, fused with
-/// vnni_requant_u8 on the block's first `len` (<= 16) channels (add/m0/
-/// shift point at the block's table columns) into out0 (and out1): the
-/// accumulators never leave registers.
-void vnni_gemm_s16_requant(const std::uint8_t* a0, std::int64_t stride0,
-                           const std::uint8_t* a1, std::int64_t stride1,
-                           std::int64_t segp, const std::int16_t* block,
-                           std::int64_t kp, const std::int32_t* add,
-                           const std::int64_t* m0, const std::int64_t* shift,
-                           std::int32_t zy, std::int32_t hi,
-                           std::uint8_t* out0, std::uint8_t* out1,
-                           std::int64_t len);
-
 /// Requantize n channels: out[c] = clamp(zy + ((acc[c]+add[c]) * m0[c])
 /// >>arith shift[c], 0, hi) -- identical arithmetic to requant_icn_one.
 /// m0/shift point at the RequantTable columns (callers offset them for

@@ -254,21 +254,34 @@ TEST(SimdNarrow, GemmPanelU8S8MatchesScalar) {
 }
 
 TEST(SimdNarrow, S16PackLayoutIsABijectionOntoThePanel) {
-  const std::int64_t co = 21, nseg = 3, seg = 9;
+  const std::int64_t co = 21, nseg = 3, seg = 9, segp = 10;
   const std::int64_t kp = nseg * simd::round_up(seg, 2);
   EXPECT_EQ(kp, 30);  // a 3x3x3 stem: 15 pairs
+  const std::int64_t co_pad = simd::round_up(co, simd::gemm_s16_ocb());
   const std::int64_t elems = simd::gemm_s16_panel_elems(co, kp);
-  EXPECT_EQ(elems, 32 * kp);
+  EXPECT_EQ(elems, co_pad * kp);
+  // Every (channel, padded k) slot, pad channels included, owns exactly one
+  // panel element; pack writes the real weights (all non-zero here) and
+  // leaves exactly the pad lanes and pad channels zero.
+  std::vector<std::int32_t> w(static_cast<std::size_t>(co * nseg * seg));
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    w[i] = static_cast<std::int32_t>(i % 509) - 254 + (i % 509 >= 254);
+  }
+  std::vector<std::int16_t> panel(static_cast<std::size_t>(elems), 77);
+  simd::gemm_s16_pack(w.data(), co, nseg, seg, panel.data());
   std::vector<int> hits(static_cast<std::size_t>(elems), 0);
-  for (std::int64_t oc = 0; oc < co; ++oc) {
+  for (std::int64_t oc = 0; oc < co_pad; ++oc) {
     for (std::int64_t k = 0; k < kp; ++k) {
       const std::int64_t idx = simd::gemm_s16_index(kp, oc, k);
       ASSERT_GE(idx, 0);
       ASSERT_LT(idx, elems);
       ++hits[static_cast<std::size_t>(idx)];
+      const bool pad = oc >= co || k % segp >= seg;
+      EXPECT_EQ(panel[static_cast<std::size_t>(idx)] == 0, pad)
+          << "oc=" << oc << " k=" << k;
     }
   }
-  for (const int h : hits) EXPECT_LE(h, 1);
+  for (const int h : hits) EXPECT_EQ(h, 1);
 }
 
 TEST(SimdNarrow, S16PairPanelMatchesScalar) {

@@ -265,55 +265,6 @@ TEST(SimdVnni, S16PairPanelMatchesScalar) {
       });
 }
 
-/// The fused epilogue requantizes exactly like the unfused pair: one and
-/// two rows, full and partial channel blocks, extreme and random data.
-TEST(SimdVnni, S16PairPanelRequantMatchesUnfused) {
-  SKIP_IF_NOT_RUNNABLE();
-  Rng rng(17);
-  const std::int64_t nseg = 3, seg = 9, segp = 10, kp = 30;
-  std::vector<std::int32_t> w(static_cast<std::size_t>(16 * nseg * seg));
-  std::vector<std::int16_t> panel(
-      static_cast<std::size_t>(simd::gemm_s16_panel_elems(16, kp)));
-  std::vector<std::uint8_t> x(static_cast<std::size_t>(3 * 64 + 32));
-  std::vector<std::int32_t> add(16);
-  std::vector<std::int64_t> m0(16), shift(16);
-  for (int trial = 0; trial < 40; ++trial) {
-    const bool extreme = trial % 4 == 0;
-    for (auto& v : w) {
-      v = extreme ? (rng.uniform_int(2) != 0u ? 255 : -255)
-                  : static_cast<std::int32_t>(rng.uniform_int(511)) - 255;
-    }
-    simd::gemm_s16_pack(w.data(), 16, nseg, seg, panel.data());
-    for (auto& v : x) {
-      v = extreme ? 255 : static_cast<std::uint8_t>(rng.uniform_int(256));
-    }
-    for (std::size_t c = 0; c < 16; ++c) {
-      add[c] = static_cast<std::int32_t>(rng.uniform_int(1u << 20)) - (1 << 19);
-      m0[c] = 1 + static_cast<std::int64_t>(rng.uniform_int(0x7fffffffu));
-      shift[c] = 40 + static_cast<std::int64_t>(rng.uniform_int(8));
-    }
-    const std::int32_t zy = static_cast<std::int32_t>(rng.uniform_int(16));
-    const std::int64_t len = 1 + trial % 16;
-    const bool two = trial % 2 == 0;
-    const std::uint8_t* a1 = two ? x.data() + 24 : nullptr;
-    std::vector<std::int32_t> acc(32);
-    simd::vnni_gemm_s16(x.data(), 64, a1, 64, segp, panel.data(), 0, kp,
-                        acc.data(), acc.data() + 16, 0);
-    std::vector<std::uint8_t> want(32, 0xAA), got(32, 0xAA);
-    simd::vnni_requant_u8(acc.data(), add.data(), m0.data(), shift.data(), zy,
-                          255, want.data(), len);
-    if (two) {
-      simd::vnni_requant_u8(acc.data() + 16, add.data(), m0.data(),
-                            shift.data(), zy, 255, want.data() + 16, len);
-    }
-    simd::vnni_gemm_s16_requant(x.data(), 64, a1, 64, segp, panel.data(), kp,
-                                add.data(), m0.data(), shift.data(), zy, 255,
-                                got.data(), two ? got.data() + 16 : nullptr,
-                                len);
-    EXPECT_EQ(got, want) << "trial " << trial;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Requantizer vs the scalar reference (requant_icn_one).
 // ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 // Shared check for the u8 x s16 pair-panel GEMM kernels (simd.hpp's
-// gemm_s16_x1/x2 and the VNNI tier's vnni_gemm_s16_x1/x2): packs random or
-// extreme offset weights, lays two activation rows out as kernel-row
-// segments (one packed at segp, one "in place" with a wider stride and
-// junk in every pad byte), runs the kernel over every channel block in
-// K-blocks of several sizes, and compares each lane with a plain scalar
-// dot over the unpacked weights.
+// gemm_s16 and the VNNI tier's vnni_gemm_s16; one row, or two when a1 is
+// non-null): packs random or extreme offset weights, lays two activation
+// rows out as kernel-row segments (one packed at segp, one "in place" with
+// a wider stride and junk in every pad byte), runs the kernel over every
+// channel block in K-blocks of several sizes, and compares each lane with
+// a plain scalar dot over the unpacked weights.
 #pragma once
 
 #include <gtest/gtest.h>

@@ -217,11 +217,13 @@ class JsonLexer {
     };
     const bool negative = p != end && *p == '-';
     if (negative) ++p;
-    const char* const int_part = p;
-    if (!digits(false)) fail_at("invalid number");
-    if (*int_part == '0' && p - int_part > 1) {  // RFC 8259: "01", "-01"
-      p = int_part + 1;
-      fail_at("leading zero in number");
+    if (p != end && *p == '0') {
+      // RFC 8259: a 0 integer part stands alone ("01", "-01" are invalid).
+      ++p;
+      mantissa_digits = 1;
+      if (p != end && *p >= '0' && *p <= '9') fail_at("leading zero in number");
+    } else if (!digits(false)) {
+      fail_at("invalid number");
     }
     if (p != end && *p == '.') {
       ++p;

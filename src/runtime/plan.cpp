@@ -1041,9 +1041,12 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
           }
         }
         const bool fits_s8 = wmin >= -128 && wmax <= 127;
-        pl.tier = vnni_want ? KernelTier::kVnni
-                  : fits_s8 && pair_max * amax <= 32767 ? KernelTier::kS8Panel
-                                                        : KernelTier::kU8S16;
+        const bool s8_pairs = fits_s8 && pair_max * amax <= 32767;
+        if (vnni_want) {
+          pl.tier = KernelTier::kVnni;
+        } else {
+          pl.tier = s8_pairs ? KernelTier::kS8Panel : KernelTier::kU8S16;
+        }
         pl.i8_panel = pl.tier == KernelTier::kS8Panel;
         if (vnni_want && fits_s8) {
           pl.kp = simd::vnni_kp(per);

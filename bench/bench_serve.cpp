@@ -3,7 +3,7 @@
 // Drives the serve subsystem in-process on a MobileNet-class mixed-precision
 // workload, two ways:
 //
-//   * engine level: RequestQueue + MicroBatcher + InferenceSession, swept
+//   * engine level: RequestQueue + MicroBatcher + ModelRegistry, swept
 //     over (max_batch, threads) configurations -- the serving fabric with
 //     protocol costs excluded;
 //   * protocol level: the full StreamServer over preformatted ndjson, so
@@ -244,7 +244,9 @@ int main(int argc, char** argv) {
   for (const auto& [max_batch, threads] : configs) {
     RequestQueue queue;
     MicroBatcher batcher(queue, {max_batch, /*max_wait_us=*/200});
-    InferenceSession session(net, threads);
+    ModelRegistry reg(threads);
+    reg.add_model("default", net);
+    const auto model = reg.resolve("default");
 
     std::vector<QInferenceResult> got(inputs.size());
     std::int64_t batches = 0;
@@ -256,7 +258,7 @@ int main(int argc, char** argv) {
       std::vector<Request> batch;
       std::vector<QInferenceResult> out;
       while (batcher.next_batch(batch)) {
-        session.infer_batch(batch, out);
+        reg.infer_batch(*model, batch, out);
         const auto done = Clock::now();
         ++batches;
         for (std::size_t i = 0; i < batch.size(); ++i) {

@@ -65,7 +65,8 @@ int main() {
   }
 
   // 4. Serve them through the micro-batching daemon (stdio transport; the
-  // same engine backs --socket). 2 worker lanes, coalescing up to 4.
+  // same serving core backs --socket and --tcp). 2 worker lanes,
+  // coalescing up to 4.
   serve::ServeConfig cfg;
   cfg.threads = 2;
   cfg.max_batch = 4;

@@ -1,8 +1,9 @@
 // `mixq run` -- one-shot inference over a flash image with the planned
 // SIMD engine, on CSV / raw float32 / deterministic synthetic inputs.
-// Shares serve::InferenceSession and the response formatter with the
-// daemon, so `--ndjson` output is byte-identical to what `mixq serve`
-// responds for the same inputs -- the invariant the CLI smoke test pins.
+// Runs through a one-model serve::ModelRegistry and the response formatter
+// the daemon uses, so `--ndjson` output is byte-identical to what `mixq
+// serve` responds for the same inputs -- the invariant the CLI smoke test
+// pins.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -11,7 +12,7 @@
 
 #include "cli/cli.hpp"
 #include "runtime/flash_image.hpp"
-#include "serve/server.hpp"
+#include "serve/registry.hpp"
 
 namespace mixq::cli {
 
@@ -56,8 +57,10 @@ int cmd_run(Args& args) {
   const runtime::QuantizedNet net =
       use_mmap ? runtime::load_flash_image_mmap(pos[0])
                : runtime::read_flash_image_file(pos[0]);
-  serve::InferenceSession session(net, threads);
-  auto samples = load_inputs(*input_spec, session.input_shape(), seed);
+  serve::ModelRegistry registry(threads);
+  registry.add_model("default", net);
+  const auto model = registry.resolve("default");
+  auto samples = load_inputs(*input_spec, model->input_shape(), seed);
 
   // One "batch" spanning every sample, partitioned across the lanes --
   // exactly how the daemon executes a micro-batch, and bit-exact with the
@@ -68,7 +71,7 @@ int cmd_run(Args& args) {
     batch[i].input = std::move(samples[i]);
   }
   std::vector<runtime::QInferenceResult> results;
-  session.infer_batch(batch, results);
+  registry.infer_batch(*model, batch, results);
 
   if (requests_path) {
     std::ofstream rf(*requests_path);

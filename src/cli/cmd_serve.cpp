@@ -1,8 +1,8 @@
 // `mixq serve` -- the batch inference daemon. Stdio by default (requests
-// on stdin, responses on stdout, stats on stderr), a unix-domain socket
-// with --socket, or the fault-tolerant epoll front-end with --tcp (which
-// may also carry --socket as a second listener). Protocol and threading
-// contract: serve/server.hpp; event-loop semantics: serve/net/.
+// on stdin, responses on stdout, stats on stderr), or the fault-tolerant
+// epoll event loop with --tcp and/or --socket (a unix-domain socket). Both
+// front-ends drive one serving core. Protocol and threading contract:
+// serve/server.hpp; event-loop semantics: serve/net/.
 #include <cstdio>
 #include <iostream>
 
@@ -30,9 +30,11 @@ constexpr const char* kUsage =
     "  --threads N         worker lanes (default 1, 0 = hardware)\n"
     "  --max-batch N       micro-batch coalescing limit (default 8)\n"
     "  --max-wait-us N     batch window after the first request (default 2000)\n"
-    "  --socket PATH       serve a unix-domain socket\n"
-    "  --tcp PORT          serve TCP on the epoll front-end (0 = ephemeral;\n"
+    "  --socket PATH       serve a unix-domain socket on the event loop\n"
+    "  --tcp PORT          serve TCP on the event loop (0 = ephemeral;\n"
     "                      combines with --socket for both transports)\n"
+    "  The options below configure the event loop and need --tcp or\n"
+    "  --socket:\n"
     "  --tcp-bind ADDR     TCP bind address (default 127.0.0.1)\n"
     "  --max-conns N       connection cap; excess accepts are answered\n"
     "                      `overloaded` and closed (default 256)\n"
@@ -45,6 +47,7 @@ constexpr const char* kUsage =
     "                      (default 5000)\n"
     "  --fault-spec SPEC   fault injection, e.g. seed=7,drop=0.05,trunc=0.3\n"
     "                      (also via MIXQ_FAULT_SPEC; testing only)\n"
+    "\n"
     "  --quiet             suppress the final stats summary on stderr\n"
     "\n"
     "protocol (newline-delimited JSON):\n"
@@ -74,10 +77,20 @@ int cmd_serve(Args& args) {
   cfg.threads = static_cast<int>(args.int_opt_or("--threads", 1));
   cfg.max_batch = static_cast<int>(args.int_opt_or("--max-batch", 8));
   cfg.max_wait_us = args.int_opt_or("--max-wait-us", 2000);
-  cfg.max_conns = static_cast<int>(args.int_opt_or("--max-conns", 256));
   cfg.default_deadline_ms = args.int_opt_or("--deadline-default", 0);
   const auto socket_path = args.opt("--socket");
   const std::int64_t tcp_port = args.int_opt_or("--tcp", -1);
+  if (tcp_port < 0 && !socket_path) {
+    // Stdio has no event loop: refuse its options instead of dropping them.
+    for (const char* loop_only :
+         {"--queue-depth", "--idle-timeout-ms", "--drain-timeout-ms",
+          "--fault-spec", "--max-conns", "--tcp-bind"}) {
+      if (args.opt(loop_only)) {
+        throw UsageError(std::string(loop_only) + " needs --tcp or --socket");
+      }
+    }
+  }
+  cfg.max_conns = static_cast<int>(args.int_opt_or("--max-conns", 256));
   const std::string tcp_bind = args.opt_or("--tcp-bind", "127.0.0.1");
   const std::int64_t queue_depth = args.int_opt_or("--queue-depth", 256);
   const std::int64_t idle_ms = args.int_opt_or("--idle-timeout-ms", 60'000);
@@ -110,10 +123,9 @@ int cmd_serve(Args& args) {
     registry.add_model(spec.substr(0, eq), spec.substr(eq + 1));
   }
 
-  serve::ServeStats stats;
-  if (tcp_port >= 0) {
+  if (tcp_port >= 0 || socket_path) {
 #ifdef _WIN32
-    throw std::runtime_error("--tcp is not supported on this platform");
+    throw std::runtime_error("--tcp/--socket need a POSIX platform");
 #else
     serve::NetConfig ncfg;
     ncfg.engine = cfg;
@@ -133,17 +145,8 @@ int cmd_serve(Args& args) {
     return 0;
 #endif
   }
-  if (socket_path) {
-#ifdef _WIN32
-    throw std::runtime_error("--socket is not supported on this platform");
-#else
-    stats = serve::serve_unix_socket(registry, cfg, *socket_path,
-                                     quiet ? nullptr : &std::cerr);
-#endif
-  } else {
-    serve::StreamServer server(registry, cfg);
-    stats = server.serve(std::cin, std::cout);
-  }
+  serve::StreamServer server(registry, cfg);
+  const serve::ServeStats stats = server.serve(std::cin, std::cout);
   if (!quiet) std::fputs(stats.str().c_str(), stderr);
   return 0;
 }

@@ -24,7 +24,7 @@
 //     concurrently on one Executor instance -- parallelism lives *inside*
 //     run_batch, not across calls.
 //   * The serving daemon (serve/server.hpp) follows the same discipline:
-//     one batch worker drives serve::InferenceSession::infer_batch, which
+//     one batch worker drives serve::ModelRegistry::infer_batch, which
 //     partitions each micro-batch across pool lanes with one PlanArenas
 //     per lane over the shared immutable plan. Served results are
 //     therefore bit-identical to a serial run_planned() for every lane

@@ -55,8 +55,6 @@ class MicroBatcher {
     return true;
   }
 
-  [[nodiscard]] const BatcherConfig& config() const { return cfg_; }
-
  private:
   RequestQueue* queue_;
   BatcherConfig cfg_;

@@ -1,9 +1,10 @@
 // mixq/serve/net/epoll_server.hpp
 //
 // Non-blocking TCP + unix-socket serving front-end: one epoll event loop
-// thread owning every socket, layered over the same RequestQueue /
-// MicroBatcher / InferenceSession fabric the stdio daemon uses -- built
-// around failure as the common case.
+// thread owning every socket, driving the same serving core (BatchWorker,
+// serve/server.hpp) as the stdio front-end -- built around failure as the
+// common case. `mixq serve --socket` alone is this loop with no TCP
+// listener.
 //
 // Each connection is an explicit state machine:
 //
@@ -56,8 +57,8 @@ namespace mixq::serve {
 // Stats.
 // ---------------------------------------------------------------------------
 
-/// ServeStats (requests/responses/errors/timeouts/shed/latency) plus the
-/// connection-lifecycle counters only a socket front-end has.
+/// The core's ServeStats (requests/responses/errors/timeouts/shed/latency)
+/// plus the connection-lifecycle counters only a socket front-end has.
 struct NetStats {
   ServeStats engine;
   std::int64_t accepted_conns{0};
@@ -67,7 +68,9 @@ struct NetStats {
   std::int64_t dropped_conns{0};    ///< peer resets + injected drops
   std::int64_t peak_conns{0};
 
-  [[nodiscard]] std::string json() const;
+  /// The connection counters as the `,"name":N...` members the stats
+  /// reply splices in after "engine" (BatchWorker::stats_line).
+  [[nodiscard]] std::string conn_fields() const;
   [[nodiscard]] std::string str() const;
 };
 

@@ -72,9 +72,6 @@ class FaultInjector {
  public:
   explicit FaultInjector(const FaultConfig& cfg);
 
-  [[nodiscard]] bool enabled() const { return enabled_; }
-  [[nodiscard]] const FaultConfig& config() const { return cfg_; }
-
   /// Event-loop site: should this read event instead drop the connection?
   [[nodiscard]] bool should_drop_conn();
 

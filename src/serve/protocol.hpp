@@ -1,11 +1,12 @@
 // mixq/serve/protocol.hpp
 //
 // The one place the serving wire protocol is parsed and its errors are
-// formatted. Every front-end -- the stdio StreamServer, the classic
-// thread-per-connection unix-socket daemon, and the epoll event loop in
-// serve/net/ -- feeds raw request lines through parse_protocol_line and
-// emits failures through format_error_line, so the three transports
-// cannot drift apart in what they accept or how they refuse.
+// formatted. The serving core (BatchWorker, serve/server.hpp) that both
+// front-ends -- the stdio StreamServer and the epoll TCP/unix event loop
+// in serve/net/ -- drive feeds raw request lines through
+// parse_protocol_line and emits failures through format_error_line, so
+// the transports cannot drift apart in what they accept or how they
+// refuse.
 //
 // Request lines (newline-delimited JSON):
 //   {"id":N,"input":[...H*W*C floats...]}            inference request

@@ -1,11 +1,11 @@
 // mixq/serve/queue.hpp
 //
 // Thread-safe FIFO of inference requests, the hand-off point between the
-// daemon's protocol readers (one per client connection, or the single
-// stdio reader) and the batching worker. Closeable: close() wakes every
-// waiter, producers are rejected afterwards, and consumers continue to
-// drain whatever was already queued -- which is how a graceful shutdown
-// finishes in-flight work before exiting.
+// daemon's protocol reader (the stdio reader or the event loop) and the
+// batching worker. Closeable: close() wakes every waiter, producers are
+// rejected afterwards, and consumers continue to drain whatever was
+// already queued -- which is how a graceful shutdown finishes in-flight
+// work before exiting.
 #pragma once
 
 #include <chrono>
@@ -102,15 +102,6 @@ class RequestQueue {
   bool pop_until(Request& out, Clock::time_point deadline) {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait_until(lock, deadline, [&] { return !q_.empty() || closed_; });
-    if (q_.empty()) return false;
-    out = std::move(q_.front());
-    q_.pop_front();
-    return true;
-  }
-
-  /// Non-blocking pop.
-  bool try_pop(Request& out) {
-    std::lock_guard<std::mutex> lock(mu_);
     if (q_.empty()) return false;
     out = std::move(q_.front());
     q_.pop_front();

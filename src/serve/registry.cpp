@@ -14,7 +14,7 @@ namespace mixq::serve {
 namespace {
 
 /// Ring cap on per-model recorded latencies: smaller than the engine-wide
-/// 64K ring because each model keeps its own.
+/// kMaxLatencySamples ring because each model keeps its own.
 constexpr std::size_t kModelLatencySamples = 1u << 13;
 
 /// The pinned probe input a candidate model must survive before it may be
@@ -115,7 +115,6 @@ struct ModelRegistry::Slot {
   std::int64_t reloads_failed{0};
 
   ServeStats stats;
-  std::size_t latency_ring_next{0};
   std::int64_t queued{0};  ///< admitted, not yet answered
 };
 
@@ -419,52 +418,68 @@ void ModelRegistry::infer_indices(const ServableModel& m,
 // Accounting
 // ---------------------------------------------------------------------------
 
-void ModelRegistry::record_admitted(const ServableModel& m) {
-  Slot* s = find(m.name);
-  if (s == nullptr) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  ++s->stats.requests;
-  ++s->queued;
-}
+namespace {
 
-void ModelRegistry::record_shed(const ServableModel& m) {
-  Slot* s = find(m.name);
-  if (s == nullptr) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  --s->stats.requests;
-  --s->queued;
-  ++s->stats.shed;
-}
-
-void ModelRegistry::record_response(const ServableModel& m,
-                                    double latency_us) {
-  Slot* s = find(m.name);
-  if (s == nullptr) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  ++s->stats.responses;
-  --s->queued;
-  if (s->stats.latency_us.size() < kModelLatencySamples) {
-    s->stats.latency_us.push_back(latency_us);
-  } else {
-    s->stats.latency_us[s->latency_ring_next] = latency_us;
-    s->latency_ring_next = (s->latency_ring_next + 1) % kModelLatencySamples;
+/// One event applied to one ServeStats (a model row or an engine total).
+void apply(ServeEvent e, ServeStats& st) {
+  switch (e) {
+    case ServeEvent::kAdmitted:
+      ++st.requests;
+      break;
+    case ServeEvent::kShed:
+      --st.requests;  // the admission is undone
+      [[fallthrough]];
+    case ServeEvent::kRejected:
+      ++st.shed;
+      break;
+    case ServeEvent::kRefused:
+      --st.requests;
+      [[fallthrough]];
+    case ServeEvent::kError:
+      ++st.errors;
+      break;
+    case ServeEvent::kTimeout:
+      ++st.timeouts;
+      break;
   }
 }
 
-void ModelRegistry::record_timeout(const ServableModel& m) {
-  Slot* s = find(m.name);
-  if (s == nullptr) return;
+}  // namespace
+
+void ModelRegistry::record(ServeEvent e, const ServableModel* m,
+                           ServeStats* engine) {
+  Slot* s = m != nullptr ? find(m->name) : nullptr;
   std::lock_guard<std::mutex> lock(mu_);
-  ++s->stats.timeouts;
-  --s->queued;
+  if (s != nullptr) {
+    apply(e, s->stats);
+    s->queued += e == ServeEvent::kAdmitted ? 1 : -1;
+  }
+  if (engine != nullptr) apply(e, *engine);
 }
 
-void ModelRegistry::record_error(const ServableModel& m) {
-  Slot* s = find(m.name);
-  if (s == nullptr) return;
+void ModelRegistry::record_batch(const std::vector<Request>& batch,
+                                 Clock::time_point done, ServeStats* engine) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++s->stats.errors;
-  --s->queued;
+  for (const Request& r : batch) {
+    const double us =
+        std::chrono::duration<double, std::micro>(done - r.enqueued).count();
+    if (Slot* s = find(r.route->name)) {
+      ++s->stats.responses;
+      --s->queued;
+      s->stats.add_latency(us, kModelLatencySamples);
+    }
+    if (engine != nullptr) engine->add_latency(us, kMaxLatencySamples);
+  }
+  if (engine == nullptr) return;
+  const auto n = static_cast<std::int64_t>(batch.size());
+  ++engine->batches;
+  engine->responses += n;
+  engine->max_batch_fill = std::max(engine->max_batch_fill, n);
+}
+
+ServeStats ModelRegistry::snapshot(const ServeStats& engine) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return engine;
 }
 
 // ---------------------------------------------------------------------------

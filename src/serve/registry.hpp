@@ -41,11 +41,11 @@
 //   * resolve()/default_model() are safe from any thread, any time.
 //   * reload() is safe from any thread; concurrent reloads of one model
 //     serialize (each validates and swaps in turn).
-//   * infer_batch()/infer_indices() keep InferenceSession's contract:
-//     ONE caller thread at a time (the batch worker) -- parallelism lives
-//     inside, across the shared pool's lanes. Validation inference during
-//     reload does NOT use the pool, so it never contends with serving.
-//   * record_*()/health_json()/stats_json()/models_info_json() are safe
+//   * infer_batch()/infer_indices() have ONE caller thread at a time (the
+//     batch worker, or `mixq run`) -- parallelism lives inside, across the
+//     shared pool's lanes. Validation inference during reload does NOT
+//     use the pool, so it never contends with serving.
+//   * record*()/health_json()/stats_json()/models_info_json() are safe
 //     from any thread (one registry mutex; never on the inference path).
 #pragma once
 
@@ -160,7 +160,6 @@ class ModelRegistry {
   [[nodiscard]] std::int64_t max_input_numel() const;
 
   [[nodiscard]] int lanes() const { return pool_->lanes(); }
-  [[nodiscard]] runtime::ThreadPool& pool() { return *pool_; }
 
   /// Validate-then-swap hot reload of `name` ("" = default) from `path`
   /// (or its current backing path when empty). On failure the old
@@ -170,7 +169,7 @@ class ModelRegistry {
 
   /// Run `batch` against pinned generation `m` across the pool's lanes.
   /// Bit-exact with a serial Executor::run_planned. Single-caller (the
-  /// batch worker), like InferenceSession::infer_batch.
+  /// batch worker, or a one-shot `mixq run` batch).
   void infer_batch(const ServableModel& m, const std::vector<Request>& batch,
                    std::vector<runtime::QInferenceResult>& out);
 
@@ -181,15 +180,21 @@ class ModelRegistry {
                      const std::vector<std::size_t>& idx,
                      std::vector<runtime::QInferenceResult>& out);
 
-  // -- per-model serve accounting (queue-depth + ServeStats) ---------------
-  // A front-end records admission BEFORE pushing to the queue (so a stats
-  // snapshot can never show responses > requests) and undoes it with
-  // record_shed when the push is refused (overloaded / shutting down).
-  void record_admitted(const ServableModel& m);
-  void record_shed(const ServableModel& m);
-  void record_response(const ServableModel& m, double latency_us);
-  void record_timeout(const ServableModel& m);
-  void record_error(const ServableModel& m);
+  // -- serve accounting ------------------------------------------------------
+  /// Record one event in `m`'s row (none when null) and, when given, in
+  /// the front-end's engine-wide `engine` total -- one call under one
+  /// lock, so the two stores always agree. kAdmitted/kShed/kRefused also
+  /// move the model's queue depth, as does every answer to an admitted
+  /// request.
+  void record(ServeEvent e, const ServableModel* m,
+              ServeStats* engine = nullptr);
+  /// One executed micro-batch: a response (with its enqueue -> `done`
+  /// latency) per request in the model rows, plus the batch in `engine`.
+  void record_batch(const std::vector<Request>& batch, Clock::time_point done,
+                    ServeStats* engine);
+  /// A copy of an engine total kept through record(), taken under the
+  /// same lock.
+  [[nodiscard]] ServeStats snapshot(const ServeStats& engine) const;
 
   /// `{"NAME":{"queued":N,"generation":G,"stats":{...ServeStats...}},...}`
   [[nodiscard]] std::string stats_json() const;

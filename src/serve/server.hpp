@@ -1,45 +1,48 @@
 // mixq/serve/server.hpp
 //
-// The batch inference daemon behind `mixq serve`: a request queue fed by
-// one or more protocol readers, a micro-batcher (batcher.hpp) coalescing
-// requests, and an InferenceSession executing each batch across worker
-// lanes of the PR 3 ThreadPool -- every lane running the shared read-only
-// ExecutionPlan through its own PlanArenas, so served results are
-// bit-identical to a serial Executor::run_planned() for every lane count
-// and every batch composition.
+// The batch inference daemon behind `mixq serve`: one serving core
+// (BatchWorker) -- a request queue, a micro-batcher (batcher.hpp)
+// coalescing requests, and one batch worker thread executing each batch
+// through the ModelRegistry across the shared pool's lanes, every lane
+// running the pinned read-only ExecutionPlan through its own PlanArenas,
+// so served results are bit-identical to a serial Executor::run_planned()
+// for every lane count and every batch composition. Two front-ends drive
+// the core: StreamServer (stdio / in-process streams, below) and
+// EpollServer (TCP + unix sockets, serve/net/epoll_server.hpp).
 //
 // Protocol (newline-delimited JSON, one request/response per line; the
-// parser and error taxonomy live in serve/protocol.hpp, shared with the
-// epoll front-end in serve/net/):
+// parser and error taxonomy live in serve/protocol.hpp):
 //   {"id": 7, "input": [f0, f1, ...]}   -> {"id":7,"predicted":3,"logits":[...]}
 //   {"id": 7, "input": [...], "deadline_ms": 50}
 //       -> the response, or {"error":...,"code":"timeout",...} if still
 //          unexecuted 50 ms after arrival (the slot is never wasted)
 //   {"cmd": "info"}                     -> {"info":{...model metadata...}}
-//   {"cmd": "stats"}                    -> {"stats":{...latency/batch stats...}}
+//   {"cmd": "stats"}   -> {"stats":{"engine":{...},"models":{...}}}
 //   {"cmd": "shutdown"}                 -> {"ok":"shutdown"}   (after drain)
 // Malformed or invalid lines get {"error":...,"code":"malformed",...}
 // and never kill the daemon. `input` length must equal the model's H*W*C.
 // Responses to one client's valid requests are emitted in request order.
 //
 // Threading contract (see also Executor::plan() in runtime/executor.hpp):
-//   * InferenceSession::infer_batch may be called from ONE thread at a
-//     time (the batch worker); parallelism lives inside the call, which
-//     partitions the batch across the pool's lanes.
-//   * The ExecutionPlan is compiled once in the constructor (warm-up), so
-//     the first request pays no compilation latency.
-//   * StreamServer::serve runs the protocol reader on the calling thread
-//     and the batch worker on an internal thread; response writes are
-//     serialized through one mutex. On EOF or {"cmd":"shutdown"} the
-//     queue is closed, already-accepted requests are drained and answered,
-//     then serve() returns the final stats.
+//   * handle_line() is called from ONE front-end thread (the stdio reader
+//     or the event loop); the batch worker runs on the core's own thread;
+//     parallelism lives inside ModelRegistry::infer_*, which partitions
+//     each batch across the pool's lanes.
+//   * StreamServer::serve runs the protocol reader on the calling thread;
+//     response writes are serialized through one mutex. On EOF or
+//     {"cmd":"shutdown"} the queue is closed, already-accepted requests
+//     are drained and answered, then serve() returns the final stats.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
+#include <limits>
 #include <memory>
-#include <mutex>
 #include <string>
+#include <string_view>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "runtime/executor.hpp"
@@ -49,40 +52,7 @@
 namespace mixq::serve {
 
 class ModelRegistry;  // serve/registry.hpp: multi-model hot-swap registry
-
-// ---------------------------------------------------------------------------
-// Inference engine shared by `mixq run` and `mixq serve`.
-// ---------------------------------------------------------------------------
-
-class InferenceSession {
- public:
-  /// Compiles the plan (warm-up) and spawns a pool of `threads` worker
-  /// lanes (0 = hardware concurrency) with one PlanArenas each.
-  InferenceSession(const runtime::QuantizedNet& net, int threads);
-  ~InferenceSession();
-  InferenceSession(const InferenceSession&) = delete;
-  InferenceSession& operator=(const InferenceSession&) = delete;
-
-  /// Run `batch.size()` requests, writing one result per request into
-  /// `out` (resized). Requests are partitioned contiguously across the
-  /// lanes; results are bit-exact with the serial planned path.
-  void infer_batch(const std::vector<Request>& batch,
-                   std::vector<runtime::QInferenceResult>& out);
-
-  /// Serial convenience (lane 0's arenas).
-  runtime::QInferenceResult infer(const float* sample);
-
-  [[nodiscard]] const runtime::QuantizedNet& net() const;
-  [[nodiscard]] const Shape& input_shape() const;
-  [[nodiscard]] std::int64_t input_numel() const;
-  [[nodiscard]] int lanes() const;
-
- private:
-  runtime::Executor exec_;
-  const runtime::ExecutionPlan* plan_;
-  std::unique_ptr<runtime::ThreadPool> pool_;
-  std::vector<std::unique_ptr<runtime::PlanArenas>> arenas_;
-};
+class FaultInjector;  // serve/net/fault_injector.hpp
 
 /// The shared response formatting: `{"id":N,"predicted":K,"logits":[...]}`.
 /// Both `mixq run --ndjson` and the daemon emit exactly this line, which is
@@ -99,6 +69,11 @@ std::string format_request_line(std::int64_t id, const float* input,
 // Stats.
 // ---------------------------------------------------------------------------
 
+/// Ring cap on a front-end's recorded latencies: the most recent 64K
+/// samples, so percentiles track the current window and a stats snapshot
+/// copies at most ~512 KiB under the registry lock.
+inline constexpr std::size_t kMaxLatencySamples = 1u << 16;
+
 struct ServeStats {
   std::int64_t requests{0};   ///< well-formed inference requests accepted
   std::int64_t responses{0};  ///< inference responses emitted
@@ -108,6 +83,10 @@ struct ServeStats {
   std::int64_t batches{0};    ///< micro-batches executed
   std::int64_t max_batch_fill{0};
   std::vector<double> latency_us;  ///< per-request enqueue -> response
+  std::size_t latency_next{0};     ///< ring slot add_latency writes next
+
+  /// Record one latency, overwriting the oldest past `cap` samples.
+  void add_latency(double us, std::size_t cap);
 
   [[nodiscard]] double mean_batch_fill() const {
     return batches > 0 ? static_cast<double>(responses) /
@@ -118,30 +97,150 @@ struct ServeStats {
   [[nodiscard]] double latency_percentile_us(double p) const;
   [[nodiscard]] double latency_mean_us() const;
 
-  /// One-line JSON object (the {"cmd":"stats"} payload).
+  /// One-line JSON object (the "engine" member of the stats reply).
   [[nodiscard]] std::string json() const;
   /// Multi-line human-readable summary.
   [[nodiscard]] std::string str() const;
 };
 
+/// One accounting event (ModelRegistry::record). Admission is recorded
+/// BEFORE the queue push -- the worker may answer the request the instant
+/// it is queued, and a snapshot must never show responses > requests --
+/// so a refused push undoes it: kShed (queue full, `overloaded`) or
+/// kRefused (queue closed, `shutting_down`, an error).
+enum class ServeEvent : std::uint8_t {
+  kAdmitted,
+  kShed,
+  kRefused,
+  kTimeout,
+  kError,     ///< an admitted request failed, or (no model) a protocol error
+  kRejected,  ///< a connection answered `overloaded` at the door (no model)
+};
+
 // ---------------------------------------------------------------------------
-// Stream (stdio / in-process) server.
+// The serving core.
 // ---------------------------------------------------------------------------
 
 struct ServeConfig {
   int threads{1};                  ///< worker lanes (0 = hardware)
   int max_batch{8};
   std::int64_t max_wait_us{2000};
-  /// Concurrent-connection cap of the socket front-ends. The classic
-  /// unix daemon answers the excess connection with a structured
-  /// `overloaded` error and closes it instead of spawning an unbounded
-  /// reader thread per accept.
+  /// Concurrent-connection cap of the socket front-end (EpollServer): the
+  /// excess connection is answered with a structured `overloaded` error
+  /// and closed instead of holding unbounded per-connection state.
   int max_conns{256};
   /// Deadline stamped on requests that carry no "deadline_ms" field
   /// (<= 0 = none). An accepted request still unexecuted past its
   /// deadline is answered with a `timeout` error, never silently dropped.
   std::int64_t default_deadline_ms{0};
 };
+
+/// One reply line bound for connection `client`.
+struct Reply {
+  int client{kClientLocal};
+  std::string line;
+};
+
+/// What the front-end does with a line after BatchWorker::handle_line.
+struct Dispatch {
+  enum class Kind : std::uint8_t {
+    kNone,      ///< blank line: nothing to send
+    kReply,     ///< send `reply` back (errors, info, health, refusals)
+    kAdmitted,  ///< queued: the reply arrives through the worker's sink
+    kStats,     ///< send stats_line() (plus the front-end's own counters)
+    kReload,    ///< answer with reload_line(model, path), off the hot path
+    kShutdown,  ///< stop reading, drain, acknowledge
+  };
+  Dispatch(Kind k = Kind::kNone, std::string line = {})
+      : kind(k), reply(std::move(line)) {}
+
+  Kind kind;
+  std::string reply;
+  std::string model;  ///< kReload: "" = the default model
+  std::string path;   ///< kReload: "" = the model's current backing path
+};
+
+/// The one serving core both front-ends drive. It owns the queue, the
+/// batcher and the batch worker thread; the deadline gate, fault hooks,
+/// mixed-model grouping and executor-failure handling of the batch loop;
+/// line dispatch and admission; the info/stats/reload reply lines; and
+/// the engine-wide ServeStats, recorded together with each model's row
+/// through ModelRegistry::record under the registry's one lock.
+class BatchWorker {
+ public:
+  /// Receives each executed micro-batch's replies on the worker thread
+  /// (one call per batch, the vector may be consumed), then one final
+  /// call with an empty vector when the worker exits.
+  using Sink = std::function<void(std::vector<Reply>&)>;
+
+  /// `registry` must outlive the core. `queue_depth` bounds admission
+  /// (past it requests are shed `overloaded` with `retry_after_ms`);
+  /// `injector` (may be null) arms the delay/execerr worker sites.
+  BatchWorker(ModelRegistry& registry, const ServeConfig& cfg, Sink sink,
+              FaultInjector* injector = nullptr,
+              std::size_t queue_depth = std::numeric_limits<std::size_t>::max(),
+              std::int64_t retry_after_ms = -1);
+  /// Unwind safety: drains and joins a started worker.
+  ~BatchWorker();
+  BatchWorker(const BatchWorker&) = delete;
+  BatchWorker& operator=(const BatchWorker&) = delete;
+
+  void start();
+
+  /// Parse and dispatch one protocol line from `client`: requests are
+  /// resolved and admitted here; everything answerable at once comes back
+  /// as a kReply line.
+  Dispatch handle_line(int client, std::string_view line);
+
+  /// The `malformed` reply for a line over max_line_bytes() (counted).
+  std::string too_long_line();
+
+  /// Validate-then-swap reload; returns the reply line (the new generation
+  /// or a counted not_found / reload_failed error). Any thread.
+  std::string reload_line(const std::string& model, const std::string& path);
+
+  /// The {"cmd":"stats"} reply: {"stats":{"engine":{...}<conn_fields>,
+  /// "models":{...}}}; socket front-ends splice their connection counters
+  /// in through `conn_fields` (",\"name\":N,..."). Any thread.
+  [[nodiscard]] std::string stats_line(std::string_view conn_fields = {}) const;
+
+  /// Record an engine-wide event no model owns (e.g. kRejected).
+  void record(ServeEvent e);
+
+  /// Close the queue: admission stops, the worker drains every admitted
+  /// request and exits. Idempotent, any thread.
+  void close();
+  /// close() and join the worker; from the front-end thread. Idempotent.
+  void drain_and_stop();
+
+  [[nodiscard]] ServeStats stats() const;
+  /// Upper bound on an acceptable request line (the largest model's).
+  [[nodiscard]] std::size_t max_line_bytes() const { return max_line_bytes_; }
+
+ private:
+  void run();
+  void infer_grouped(const std::vector<Request>& batch);
+  [[nodiscard]] std::string info_line() const;
+
+  ModelRegistry& reg_;
+  ServeConfig cfg_;
+  Sink sink_;
+  FaultInjector* injector_;
+  std::size_t queue_depth_;
+  std::int64_t retry_after_ms_;
+  std::int64_t default_numel_;
+  std::size_t max_line_bytes_;
+  RequestQueue queue_;
+  MicroBatcher batcher_;
+  ServeStats stats_;  ///< guarded by the registry's lock (record/snapshot)
+  std::vector<runtime::QInferenceResult> results_;  ///< worker-thread only
+  std::vector<std::size_t> group_;                   ///< worker-thread only
+  std::thread worker_;
+};
+
+// ---------------------------------------------------------------------------
+// Stream (stdio / in-process) front-end.
+// ---------------------------------------------------------------------------
 
 class StreamServer {
  public:
@@ -169,22 +268,5 @@ class StreamServer {
   std::unique_ptr<ModelRegistry> owned_;  ///< set by the net-based ctor
   ServeConfig cfg_;
 };
-
-#ifndef _WIN32
-/// AF_UNIX daemon: listens on `socket_path` (replacing any stale socket
-/// file), serves any number of concurrent client connections feeding one
-/// shared queue/batcher, and returns the final stats after a client sends
-/// {"cmd":"shutdown"}. Responses are routed back to the originating
-/// connection. Throws std::runtime_error on socket setup failure.
-ServeStats serve_unix_socket(const runtime::QuantizedNet& net,
-                             const ServeConfig& cfg,
-                             const std::string& socket_path,
-                             std::ostream* log = nullptr);
-
-/// Multi-model form of the AF_UNIX daemon (see StreamServer).
-ServeStats serve_unix_socket(ModelRegistry& registry, const ServeConfig& cfg,
-                             const std::string& socket_path,
-                             std::ostream* log = nullptr);
-#endif
 
 }  // namespace mixq::serve

@@ -78,5 +78,15 @@ TEST(LoadInputs, SyntheticDeterministicInSeed) {
   EXPECT_THROW(load_inputs("synthetic:x", in, 1), UsageError);
 }
 
+TEST(ServeCommand, StdioRefusesEventLoopOptions) {
+  // Refused before any image is loaded, so the path need not exist.
+  for (const char* flag :
+       {"--queue-depth", "--idle-timeout-ms", "--drain-timeout-ms",
+        "--fault-spec", "--max-conns", "--tcp-bind"}) {
+    Args a = make({"missing.img", flag, "4"});
+    EXPECT_THROW(cmd_serve(a), UsageError);
+  }
+}
+
 }  // namespace
 }  // namespace mixq::cli

@@ -318,8 +318,10 @@ TEST(ModelRegistryRace, ReadersAndAccountingDuringContinuousReloads) {
       while (!stop.load(std::memory_order_relaxed)) {
         const auto m = reg.resolve("m");
         ASSERT_NE(m, nullptr);
-        reg.record_admitted(*m);
-        reg.record_response(*m, 1.0);
+        reg.record(ServeEvent::kAdmitted, m.get());
+        std::vector<Request> answered(1);
+        answered[0].route = m;
+        reg.record_batch(answered, Clock::now(), nullptr);
         const std::string h = reg.health_json();
         EXPECT_NE(h.find("\"m\""), std::string::npos);
         const std::string s = reg.stats_json();

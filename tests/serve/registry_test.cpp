@@ -385,12 +385,16 @@ TEST(ModelRegistry, StatsAccountPerModel) {
   const auto a = reg.resolve("a");
   const auto b = reg.resolve("b");
 
-  reg.record_admitted(*a);
-  reg.record_admitted(*a);
-  reg.record_admitted(*b);
-  reg.record_response(*a, 100.0);
-  reg.record_timeout(*a);
-  reg.record_shed(*b);  // push refused: the admission is undone
+  reg.record(ServeEvent::kAdmitted, a.get());
+  reg.record(ServeEvent::kAdmitted, a.get());
+  reg.record(ServeEvent::kAdmitted, b.get());
+  std::vector<Request> answered(1);
+  answered[0].route = a;
+  answered[0].enqueued = Clock::now();
+  reg.record_batch(answered, answered[0].enqueued, nullptr);
+  reg.record(ServeEvent::kTimeout, a.get());
+  // A refused push (queue full) undoes the admission.
+  reg.record(ServeEvent::kShed, b.get());
 
   const std::string s = reg.stats_json();
   const std::size_t pa = s.find("\"a\":");
@@ -405,6 +409,38 @@ TEST(ModelRegistry, StatsAccountPerModel) {
   const std::string sb = s.substr(pb);
   EXPECT_NE(sb.find("\"shed\":1"), std::string::npos) << s;
   EXPECT_NE(sb.find("\"queued\":0"), std::string::npos) << s;
+}
+
+TEST(ModelRegistry, EngineTotalAndModelRowAgree) {
+  const QuantizedNet net = make_net(22);
+  ModelRegistry reg(1);
+  reg.add_model("m", net);
+  const auto m = reg.resolve("m");
+  ServeStats engine;
+
+  reg.record(ServeEvent::kAdmitted, m.get(), &engine);
+  reg.record(ServeEvent::kAdmitted, m.get(), &engine);
+  // A push refused by a closed queue undoes the admission and is an
+  // error in both stores.
+  reg.record(ServeEvent::kRefused, m.get(), &engine);
+  std::vector<Request> answered(1);
+  answered[0].route = m;
+  reg.record_batch(answered, Clock::now(), &engine);
+  reg.record(ServeEvent::kError, nullptr, &engine);  // no model: engine only
+
+  const ServeStats e = reg.snapshot(engine);
+  EXPECT_EQ(e.requests, 1);
+  EXPECT_EQ(e.responses, 1);
+  EXPECT_EQ(e.errors, 2);
+  EXPECT_EQ(e.shed, 0);
+  EXPECT_EQ(e.batches, 1);
+  EXPECT_EQ(e.latency_us.size(), 1u);
+  const std::string s = reg.stats_json();
+  EXPECT_NE(s.find("\"requests\":1,\"responses\":1,\"errors\":1,"
+                   "\"timeouts\":0,\"shed\":0"),
+            std::string::npos)
+      << s;
+  EXPECT_NE(s.find("\"queued\":0"), std::string::npos) << s;
 }
 
 TEST(ModelRegistry, InfoReportsFormatVersionAndCodecs) {

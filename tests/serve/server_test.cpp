@@ -1,9 +1,12 @@
 // End-to-end tests of the batch inference daemon: protocol round trips,
 // bit-exactness of served results against the serial planned engine,
-// concurrent clients, graceful shutdown with in-flight requests, and a
-// malformed-request fuzz pass.
+// concurrent clients, graceful shutdown with in-flight requests, a
+// malformed-request fuzz pass, and a differential run showing the stdio
+// and socket front-ends answer one script identically through the one
+// serving core.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -15,9 +18,12 @@
 #include "runtime/convert.hpp"
 #include "runtime/executor.hpp"
 #include "serve/json.hpp"
+#include "serve/registry.hpp"
 #include "serve/server.hpp"
 
 #ifndef _WIN32
+#include "serve/net/epoll_server.hpp"
+
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -71,6 +77,44 @@ std::vector<std::string> split_lines(const std::string& text) {
   std::string line;
   while (std::getline(is, line)) lines.push_back(line);
   return lines;
+}
+
+/// The malformed-request storm: every line must be answered with exactly
+/// one error and leave the daemon serving.
+std::vector<std::string> malformed_lines() {
+  std::vector<std::string> bad = {
+      "this is not json",
+      "{",
+      "[1,2,3]",
+      "42",
+      "\"str\"",
+      "{\"id\":1}",
+      "{\"input\":[1]}",
+      "{\"id\":\"x\",\"input\":[1]}",
+      "{\"id\":1.5,\"input\":[1]}",
+      "{\"id\":2,\"input\":\"nope\"}",
+      "{\"id\":3,\"input\":[1,2]}",                     // wrong length
+      "{\"id\":4,\"input\":[true]}",
+      "{\"cmd\":\"bogus\"}",
+      "{\"cmd\":5}",
+      "{\"id\":5,\"input\":[1e999]}",                   // number overflow
+      "{\"id\":9223372036854775808,\"input\":[1]}",     // id == 2^63
+      std::string(100, '['),                            // nesting bomb
+      // Allocation bomb: a line far over the engine's size cap must be
+      // rejected before JSON parsing can amplify it.
+      "{\"id\":6,\"input\":[" + std::string(300 * 192, '1') + "]}",
+  };
+  // Deterministic printable garbage; '@' prefix guarantees a parse error.
+  Rng rng(123);
+  for (int i = 0; i < 64; ++i) {
+    std::string line = "@";
+    const int len = 1 + static_cast<int>(rng.uniform_int(80));
+    for (int k = 0; k < len; ++k) {
+      line.push_back(static_cast<char>(32 + rng.uniform_int(95)));
+    }
+    bad.push_back(line);
+  }
+  return bad;
 }
 
 TEST(StreamServer, RoundTripBitExactWithRunPlanned) {
@@ -168,39 +212,7 @@ TEST(StreamServer, MalformedRequestFuzzNeverKillsTheDaemon) {
   const auto samples = make_samples(net, 1, 9);
   const std::int64_t numel = net.layers.front().in_shape.numel();
 
-  std::vector<std::string> bad = {
-      "this is not json",
-      "{",
-      "[1,2,3]",
-      "42",
-      "\"str\"",
-      "{\"id\":1}",
-      "{\"input\":[1]}",
-      "{\"id\":\"x\",\"input\":[1]}",
-      "{\"id\":1.5,\"input\":[1]}",
-      "{\"id\":2,\"input\":\"nope\"}",
-      "{\"id\":3,\"input\":[1,2]}",                     // wrong length
-      "{\"id\":4,\"input\":[true]}",
-      "{\"cmd\":\"bogus\"}",
-      "{\"cmd\":5}",
-      "{\"id\":5,\"input\":[1e999]}",                   // number overflow
-      "{\"id\":9223372036854775808,\"input\":[1]}",     // id == 2^63
-      std::string(100, '['),                            // nesting bomb
-      // Allocation bomb: a line far over the engine's size cap must be
-      // rejected before JSON parsing can amplify it.
-      "{\"id\":6,\"input\":[" + std::string(300 * 192, '1') + "]}",
-  };
-  // Deterministic printable garbage; '@' prefix guarantees a parse error.
-  Rng rng(123);
-  for (int i = 0; i < 64; ++i) {
-    std::string line = "@";
-    const int len = 1 + static_cast<int>(rng.uniform_int(80));
-    for (int k = 0; k < len; ++k) {
-      line.push_back(static_cast<char>(32 + rng.uniform_int(95)));
-    }
-    bad.push_back(line);
-  }
-
+  const std::vector<std::string> bad = malformed_lines();
   std::string in_text;
   for (const auto& line : bad) in_text += line + "\n";
   // A valid request after the garbage storm must still be served.
@@ -228,7 +240,7 @@ TEST(StreamServer, MalformedRequestFuzzNeverKillsTheDaemon) {
   EXPECT_EQ(lines.back(), format_result_line(7, expect));
 }
 
-TEST(InferenceSession, ConcurrentClientsBitExactWithSerialPlanned) {
+TEST(ModelRegistry, ConcurrentClientsBitExactWithSerialPlanned) {
   const QuantizedNet net = make_net(5);
   constexpr int kClients = 4;
   constexpr int kPerClient = 8;
@@ -236,7 +248,9 @@ TEST(InferenceSession, ConcurrentClientsBitExactWithSerialPlanned) {
 
   RequestQueue queue;
   MicroBatcher batcher(queue, {/*max_batch=*/5, /*max_wait_us=*/500});
-  InferenceSession session(net, /*threads=*/3);
+  ModelRegistry reg(/*threads=*/3);
+  reg.add_model("default", net);
+  const auto model = reg.resolve("default");
 
   std::mutex results_mu;
   std::map<std::int64_t, QInferenceResult> results;
@@ -244,7 +258,7 @@ TEST(InferenceSession, ConcurrentClientsBitExactWithSerialPlanned) {
     std::vector<Request> batch;
     std::vector<QInferenceResult> out;
     while (batcher.next_batch(batch)) {
-      session.infer_batch(batch, out);
+      reg.infer_batch(*model, batch, out);
       std::lock_guard<std::mutex> lock(results_mu);
       for (std::size_t i = 0; i < batch.size(); ++i) {
         results[batch[i].id] = out[i];
@@ -287,20 +301,65 @@ TEST(InferenceSession, ConcurrentClientsBitExactWithSerialPlanned) {
 }
 
 #ifndef _WIN32
-TEST(UnixSocketServer, RoundTripAndShutdown) {
+/// Connect to the unix socket at `path` with a receive timeout (a hung
+/// read fails the test instead of hanging it); -1 on failure.
+int connect_unix(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  path.copy(addr.sun_path, path.size());
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  timeval tv{};
+  tv.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool send_text(int fd, const std::string& text) {
+  std::size_t off = 0;
+  while (off < text.size()) {
+    const auto n = ::send(fd, text.data() + off, text.size() - off, 0);
+    if (n <= 0) return false;
+    off += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// Read until `want` lines arrived (0 = until the peer closes).
+std::string recv_lines(int fd, std::size_t want) {
+  std::string text;
+  char buf[4096];
+  while (want == 0 ||
+         static_cast<std::size_t>(std::count(text.begin(), text.end(),
+                                             '\n')) < want) {
+    const auto n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    text.append(buf, static_cast<std::size_t>(n));
+  }
+  return text;
+}
+
+TEST(EpollServer, UnixOnlyRoundTripAndShutdown) {
   const QuantizedNet net = make_net(6);
   const auto samples = make_samples(net, 3, 31);
   const std::string path =
       "/tmp/mixq_serve_test_" + std::to_string(::getpid()) + ".sock";
 
-  ServeStats stats;
+  NetStats stats;
   std::string server_error;
   std::thread server([&] {
     try {
-      ServeConfig cfg;
-      cfg.max_batch = 2;
-      cfg.max_wait_us = 500;
-      stats = serve_unix_socket(net, cfg, path, nullptr);
+      // No TCP listener: exactly what `mixq serve --socket PATH` runs.
+      NetConfig cfg;
+      cfg.unix_path = path;
+      cfg.engine.max_batch = 2;
+      cfg.engine.max_wait_us = 500;
+      stats = EpollServer(net, cfg).run();
     } catch (const std::exception& e) {
       server_error = e.what();
     }
@@ -383,7 +442,78 @@ TEST(UnixSocketServer, RoundTripAndShutdown) {
               format_result_line(static_cast<std::int64_t>(i), expect));
   }
   EXPECT_EQ(lines.back(), "{\"ok\":\"shutdown\"}");
-  EXPECT_EQ(stats.responses, static_cast<std::int64_t>(samples.size()));
+  EXPECT_EQ(stats.engine.responses,
+            static_cast<std::int64_t>(samples.size()));
+}
+
+TEST(ServeFrontEnds, StdioAndUnixSocketAnswerOneScriptIdentically) {
+  const QuantizedNet net = make_net(7);
+  const auto samples = make_samples(net, 5, 41);
+  const std::int64_t numel = net.layers.front().in_shape.numel();
+  ModelRegistry reg(2);
+  reg.add_model("default", net);
+
+  // A socket loses framing past an over-cap line (that connection stops
+  // reading), so the socket run sends it on a connection of its own; the
+  // stdio run streams past it. Both answer it through the core.
+  std::string over_cap;
+  std::vector<std::string> script;
+  for (const std::string& line : malformed_lines()) {
+    if (line.size() > max_request_line_bytes(numel)) {
+      over_cap = line;
+    } else {
+      script.push_back(line);
+    }
+  }
+  ASSERT_FALSE(over_cap.empty());
+  script.push_back("{\"id\":90,\"model\":\"nope\",\"input\":[1]}");
+  script.push_back("{\"cmd\":\"info\"}");
+  script.push_back("{\"cmd\":\"health\"}");  // before any request: queued 0
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    script.push_back(format_request_line(static_cast<std::int64_t>(i),
+                                         samples[i].data(), numel));
+  }
+  script.push_back("{\"cmd\":\"shutdown\"}");
+  std::string script_text;
+  for (const std::string& line : script) script_text += line + "\n";
+
+  ServeConfig cfg;
+  cfg.max_batch = 3;
+  cfg.max_wait_us = 500;
+  std::istringstream in(over_cap + "\n" + script_text);
+  std::ostringstream out;
+  StreamServer(reg, cfg).serve(in, out);
+  std::vector<std::string> stdio_lines = split_lines(out.str());
+
+  NetConfig ncfg;
+  ncfg.engine = cfg;
+  ncfg.unix_path =
+      "/tmp/mixq_serve_diff_" + std::to_string(::getpid()) + ".sock";
+  EpollServer server(reg, ncfg);
+  std::thread loop([&] { server.run(); });
+  const int bomb_fd = connect_unix(ncfg.unix_path);
+  const int fd = connect_unix(ncfg.unix_path);
+  std::string socket_text;
+  if (bomb_fd >= 0 && fd >= 0) {
+    EXPECT_TRUE(send_text(bomb_fd, over_cap + "\n"));
+    socket_text = recv_lines(bomb_fd, 1);
+    EXPECT_TRUE(send_text(fd, script_text));
+    socket_text += recv_lines(fd, 0);  // through the ack and the close
+  } else {
+    server.request_drain();
+  }
+  loop.join();
+  if (bomb_fd >= 0) ::close(bomb_fd);
+  if (fd >= 0) ::close(fd);
+  ASSERT_GE(fd, 0);
+  std::vector<std::string> socket_lines = split_lines(socket_text);
+
+  // Every line answered once: one error per bad line and the unknown
+  // model, info, health, a response per request, the shutdown ack.
+  ASSERT_EQ(stdio_lines.size(), script.size() + 1);
+  std::sort(stdio_lines.begin(), stdio_lines.end());
+  std::sort(socket_lines.begin(), socket_lines.end());
+  EXPECT_EQ(stdio_lines, socket_lines);
 }
 #endif  // !_WIN32
 

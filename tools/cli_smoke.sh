@@ -129,104 +129,133 @@ head -n 1 "$DIR/run.ndjson" | cmp - <(grep '"predicted"' "$DIR/serve_err.ndjson"
 grep -q '"stats"' "$DIR/serve_err.ndjson"
 grep -q '"ok":"shutdown"' "$DIR/serve_err.ndjson"
 
+echo "== serve (stdio) refuses the event loop's options"
+if "$MIXQ" serve "$DIR/model.img" --queue-depth 4 < /dev/null \
+    2> "$DIR/stdio_qd.err"; then
+  echo "cli_smoke.sh: stdio serve accepted --queue-depth" >&2
+  exit 1
+fi
+grep -q -- '--queue-depth' "$DIR/stdio_qd.err"
+
 if command -v python3 >/dev/null 2>&1; then
-  echo "== serve --tcp (epoll front-end): round trip byte-identical to run"
-  "$MIXQ" serve "$DIR/model.img" --tcp 0 --max-batch 4 --max-wait-us 500 \
-    2> "$DIR/tcp1.log" &
-  SRV=$!
-  PORT=""
-  for _ in $(seq 1 100); do
-    PORT=$(sed -n 's/.*listening on tcp 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
-      "$DIR/tcp1.log" | head -n 1)
-    [ -n "$PORT" ] && break
-    sleep 0.1
-  done
-  test -n "$PORT"
-  PY_RC=0
-  python3 - "$PORT" "$DIR/requests.ndjson" "$DIR/tcp.ndjson" <<'PYEOF' || PY_RC=$?
-import socket, sys
-port, req_path, out_path = int(sys.argv[1]), sys.argv[2], sys.argv[3]
+  # Socket clients. argv[1] is the daemon's address: a TCP port (digits)
+  # or a unix socket path.
+  CONNECT_PY='
+import socket
+def connect(addr):
+    if addr.isdigit():
+        return socket.create_connection(("127.0.0.1", int(addr)), timeout=30)
+    s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    s.settimeout(30)
+    s.connect(addr)
+    return s
+'
+  ROUNDTRIP_PY="$CONNECT_PY"'
+import sys
+addr, req_path, out_path = sys.argv[1], sys.argv[2], sys.argv[3]
 reqs = open(req_path, "rb").read().splitlines()
-s = socket.create_connection(("127.0.0.1", port), timeout=30)
+s = connect(addr)
 f = s.makefile("rwb")
 for r in reqs:
     f.write(r + b"\n")
-f.write(b'{"cmd":"shutdown"}\n')
+f.write(b"{\"cmd\":\"shutdown\"}\n")
 f.flush()
 with open(out_path, "wb") as out:
     for _ in reqs:
         line = f.readline()
-        assert b'"predicted"' in line, line
+        assert b"\"predicted\"" in line, line
         out.write(line)
 ack = f.readline()
-assert ack.rstrip() == b'{"ok":"shutdown"}', ack
+assert ack.rstrip() == b"{\"ok\":\"shutdown\"}", ack
 assert f.readline() == b""  # clean close after the drain
 s.close()
-PYEOF
-  if [ "$PY_RC" -ne 0 ]; then
-    kill "$SRV" 2>/dev/null || true
-    wait "$SRV" 2>/dev/null || true
-    exit "$PY_RC"
-  fi
-  wait "$SRV"
-  cmp "$DIR/run.ndjson" "$DIR/tcp.ndjson"
-
-  echo "== serve --tcp: SIGTERM mid-stream drains admitted work, exit 0"
-  "$MIXQ" serve "$DIR/model.img" --tcp 0 --max-batch 4 --max-wait-us 500 \
-    2> "$DIR/tcp2.log" &
-  SRV=$!
-  PORT=""
-  for _ in $(seq 1 100); do
-    PORT=$(sed -n 's/.*listening on tcp 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
-      "$DIR/tcp2.log" | head -n 1)
-    [ -n "$PORT" ] && break
-    sleep 0.1
-  done
-  test -n "$PORT"
-  PY_RC=0
-  python3 - "$PORT" "$SRV" "$DIR/requests.ndjson" "$DIR/tcp_term.ndjson" \
-    <<'PYEOF' || PY_RC=$?
-import os, signal, socket, sys
-port, srv_pid = int(sys.argv[1]), int(sys.argv[2])
+'
+  SIGTERM_PY="$CONNECT_PY"'
+import os, signal, sys
+addr, srv_pid = sys.argv[1], int(sys.argv[2])
 req_path, out_path = sys.argv[3], sys.argv[4]
 reqs = open(req_path, "rb").read().splitlines()
-s = socket.create_connection(("127.0.0.1", port), timeout=30)
+s = connect(addr)
 f = s.makefile("rwb")
 for r in reqs:
     f.write(r + b"\n")
-f.write(b'{"cmd":"stats"}\n')
+f.write(b"{\"cmd\":\"stats\"}\n")
 f.flush()
 # Responses may interleave with the stats line (the batch worker races
-# the loop's read of the final TCP segment), so classify as they arrive.
+# the loop read of the final segment), so classify as they arrive.
 responses = []
 while True:
     line = f.readline()
     assert line, "connection closed before the stats response"
-    if b'"stats"' in line:
+    if b"\"stats\"" in line:
         # Proves every request line sent before it was admitted.
-        assert b'"requests":%d' % len(reqs) in line, line
+        assert b"\"requests\":%d" % len(reqs) in line, line
         break
-    assert b'"predicted"' in line, line
+    assert b"\"predicted\"" in line, line
     responses.append(line)
 os.kill(srv_pid, signal.SIGTERM)  # drain NOW, with work still in flight
 while len(responses) < len(reqs):
     line = f.readline()
-    assert b'"predicted"' in line, line or b"<dropped by drain>"
+    assert b"\"predicted\"" in line, line or b"<dropped by drain>"
     responses.append(line)
 assert f.readline() == b""  # server closed the connection after flushing
 s.close()
 with open(out_path, "wb") as out:
     out.writelines(responses)
-PYEOF
-  if [ "$PY_RC" -ne 0 ]; then
-    kill "$SRV" 2>/dev/null || true
-    wait "$SRV" 2>/dev/null || true
-    exit "$PY_RC"
-  fi
-  wait "$SRV"
-  cmp "$DIR/run.ndjson" "$DIR/tcp_term.ndjson"
+'
+  # start_daemon LOG LISTENER-ARGS...: background `mixq serve` on the event
+  # loop; sets SRV and ADDR (TCP port or socket path) once it listens.
+  start_daemon() {
+    local log="$1"
+    shift
+    "$MIXQ" serve "$DIR/model.img" "$@" --max-batch 4 --max-wait-us 500 \
+      2> "$log" &
+    SRV=$!
+    ADDR=""
+    for _ in $(seq 1 100); do
+      ADDR=$(sed -n -e 's/.*listening on tcp 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
+        -e 's/.*listening on unix \(.*\)$/\1/p' "$log" | head -n 1)
+      [ -n "$ADDR" ] && break
+      sleep 0.1
+    done
+    test -n "$ADDR"
+  }
+  # client PY ARGS...: run a client; on failure stop the daemon and fail.
+  client() {
+    local py="$1"
+    shift
+    local rc=0
+    python3 -c "$py" "$@" || rc=$?
+    if [ "$rc" -ne 0 ]; then
+      kill "$SRV" 2>/dev/null || true
+      wait "$SRV" 2>/dev/null || true
+      exit "$rc"
+    fi
+  }
+
+  # --socket alone runs the same event loop with no TCP listener.
+  SOCK="$(mktemp -u "${TMPDIR:-/tmp}/mixq-smoke-XXXXXX.sock")"
+  for LISTEN in "--tcp 0" "--socket $SOCK"; do
+    T="${LISTEN%% *}"
+    T="${T#--}"
+    echo "== serve $LISTEN (event loop): round trip byte-identical to run"
+    # shellcheck disable=SC2086  # LISTEN is two words on purpose
+    start_daemon "$DIR/${T}1.log" $LISTEN
+    client "$ROUNDTRIP_PY" "$ADDR" "$DIR/requests.ndjson" "$DIR/$T.ndjson"
+    wait "$SRV"
+    cmp "$DIR/run.ndjson" "$DIR/$T.ndjson"
+
+    echo "== serve $LISTEN: SIGTERM mid-stream drains admitted work, exit 0"
+    # shellcheck disable=SC2086
+    start_daemon "$DIR/${T}2.log" $LISTEN
+    client "$SIGTERM_PY" "$ADDR" "$SRV" "$DIR/requests.ndjson" \
+      "$DIR/${T}_term.ndjson"
+    wait "$SRV"
+    cmp "$DIR/run.ndjson" "$DIR/${T}_term.ndjson"
+  done
+  test ! -e "$SOCK"  # the daemon removes its socket file on exit
 else
-  echo "== serve --tcp smoke skipped: python3 not available"
+  echo "== serve --tcp/--socket smoke skipped: python3 not available"
 fi
 
 echo "== train a second model (different seed) for the hot-swap round trip"

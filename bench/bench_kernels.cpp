@@ -324,31 +324,30 @@ void BM_DwMicro_i32(benchmark::State& state) {
 BENCHMARK(BM_DwMicro_i32);
 
 void BM_DwMicro_u8s16(benchmark::State& state) {
+  // One output row of kDwPixels pixels through the narrow depthwise row
+  // kernel, over a 3-row input window (the same MACs as BM_DwMicro_i32).
   Rng rng(15);
   const std::int64_t in_w = kDwPixels + 2;
-  std::vector<std::uint8_t> x(static_cast<std::size_t>(3 * in_w * kDwC));
-  std::vector<std::int16_t> wt(static_cast<std::size_t>(kDwTaps * kDwC));
-  std::vector<std::int16_t> wtp(static_cast<std::size_t>(
-      runtime::simd::dw_pairs(kDwTaps) * 2 * kDwC));
-  std::vector<std::int64_t> toff(static_cast<std::size_t>(kDwTaps));
-  std::vector<std::int32_t> acc(static_cast<std::size_t>(kDwC));
+  std::vector<std::uint8_t> x(static_cast<std::size_t>(3 * in_w * kDwC + 32));
+  std::vector<std::int32_t> w(static_cast<std::size_t>(kDwTaps * kDwC));
+  std::vector<std::int16_t> bank(static_cast<std::size_t>(
+      runtime::simd::dw_bank_elems(kDwTaps, kDwC)));
+  std::vector<const std::uint8_t*> tap(static_cast<std::size_t>(kDwTaps));
+  std::vector<std::int32_t> acc(static_cast<std::size_t>(
+      kDwPixels * runtime::simd::round_up(kDwC, 16)));
   for (auto& v : x) v = static_cast<std::uint8_t>(rng.uniform_int(256));
-  for (auto& v : wt) {
-    v = static_cast<std::int16_t>(
-        static_cast<std::int32_t>(rng.uniform_int(511)) - 255);
+  for (auto& v : w) {
+    v = static_cast<std::int32_t>(rng.uniform_int(511)) - 255;
   }
-  for (std::int64_t ky = 0; ky < 3; ++ky) {
-    for (std::int64_t kx = 0; kx < 3; ++kx) {
-      toff[static_cast<std::size_t>(ky * 3 + kx)] = (ky * in_w + kx) * kDwC;
-    }
+  for (std::int64_t t = 0; t < kDwTaps; ++t) {
+    tap[static_cast<std::size_t>(t)] =
+        x.data() + ((t / 3) * in_w + t % 3) * kDwC;
   }
-  runtime::simd::dw_pack_u8s16(wt.data(), kDwTaps, kDwC, wtp.data());
+  runtime::simd::dw_pack_u8s16(w.data(), kDwTaps, kDwC, bank.data());
   for (auto _ : state) {
-    for (std::int64_t p = 0; p < kDwPixels; ++p) {
-      runtime::simd::dw_dot_u8s16p(x.data() + p * kDwC, toff.data(),
-                                   wtp.data(), kDwTaps, kDwC, acc.data());
-      benchmark::DoNotOptimize(acc.data());
-    }
+    runtime::simd::dw_row_u8s16(tap.data(), kDwTaps, kDwC, kDwC,
+                                bank.data(), kDwPixels, acc.data());
+    benchmark::DoNotOptimize(acc.data());
   }
   state.counters["MACs/s"] = benchmark::Counter(
       static_cast<double>(kDwPixels * kDwTaps * kDwC),

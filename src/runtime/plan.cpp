@@ -1,6 +1,7 @@
 #include "runtime/plan.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -59,35 +60,42 @@ void interior_bounds(std::int64_t in, std::int64_t k, std::int64_t stride,
   lo = std::min(lo, hi);
 }
 
-/// Requantize the channel chunk [c0, c0 + len) of one output row of raw
-/// int32 accumulators (sum X*(W-Zw)): the vectorized table when provably
-/// exact (the VNNI requantizer on VNNI-tier layers, whose vpsravq needs no
-/// bias trick), the scalar reference otherwise. `acc`/`o` point AT the
-/// chunk; c0 offsets the per-channel tables. Bit-exact on every path; the
-/// u8 store never truncates (codes are in [0, qmax(qy)] <= 255).
+/// Requantize the channel chunk [c0, c0 + len) of `npix` output pixels of
+/// raw int32 accumulators (sum X*(W-Zw)), pixel q's at acc + q * acc_stride
+/// and its codes at o + q * co: the vectorized table when provably exact
+/// (the VNNI requantizer on VNNI-tier layers, whose vpsravq needs no bias
+/// trick), the scalar reference otherwise. `acc`/`o` point AT the chunk;
+/// c0 offsets the per-channel tables. GEMM rows pass one pixel, depthwise
+/// a whole output row. Bit-exact on every path; the u8 store never
+/// truncates (codes are in [0, qmax(qy)] <= 255).
 template <typename OutT>
 inline void requant_chunk(const PlannedLayer& pl, const std::int32_t* acc,
-                          OutT* o, std::int64_t c0, std::int64_t len) {
+                          OutT* o, std::int64_t c0, std::int64_t len,
+                          std::int64_t npix = 1, std::int64_t acc_stride = 0) {
+  const std::int64_t co = pl.layer->out_shape.c;
   if (pl.rq.usable) {
     if constexpr (std::is_same_v<OutT, std::uint8_t>) {
       if (pl.tier == KernelTier::kVnni) {
         simd::vnni_requant_u8(acc, pl.rq.add.data() + c0,
                               pl.rq.m0.data() + c0, pl.rq.shift.data() + c0,
-                              pl.rq.zy, pl.rq.hi, o, len);
+                              pl.rq.zy, pl.rq.hi, o, len, npix, acc_stride,
+                              co);
         return;
       }
-      simd::requant_icn_u8(pl.rq, acc, pl.rq.add.data() + c0, o, len, c0);
-    } else {
-      simd::requant_icn_i32(pl.rq, acc, pl.rq.add.data() + c0, o, len, c0);
     }
+    simd::requant_icn(pl.rq, acc, o, len, c0, npix, acc_stride, co);
     return;
   }
   const QLayer& l = *pl.layer;
   const std::int64_t zx = l.zx;
-  for (std::int64_t j = 0; j < len; ++j) {
-    const std::int64_t oc = c0 + j;
-    o[j] = static_cast<OutT>(requantize(
-        l, static_cast<std::int64_t>(acc[j]) - zx * pl.wsum[oc], oc));
+  for (std::int64_t q = 0; q < npix; ++q) {
+    for (std::int64_t j = 0; j < len; ++j) {
+      const std::int64_t oc = c0 + j;
+      o[q * co + j] = static_cast<OutT>(requantize(
+          l, static_cast<std::int64_t>(acc[q * acc_stride + j]) -
+                 zx * pl.wsum[oc],
+          oc));
+    }
   }
 }
 
@@ -96,24 +104,6 @@ template <typename OutT>
 inline void requant_row(const PlannedLayer& pl, const std::int32_t* acc,
                         OutT* o, std::int64_t co) {
   requant_chunk(pl, acc, o, 0, co);
-}
-
-/// Border-config requantize (depthwise): vector table with the window's
-/// pre-add, stored at either width.
-template <typename OutT>
-inline void requant_border(const PlannedLayer& pl, const std::int32_t* acc,
-                           const std::int32_t* addv, OutT* o,
-                           std::int64_t co) {
-  if constexpr (std::is_same_v<OutT, std::uint8_t>) {
-    if (pl.tier == KernelTier::kVnni) {
-      simd::vnni_requant_u8(acc, addv, pl.rq.m0.data(), pl.rq.shift.data(),
-                            pl.rq.zy, pl.rq.hi, o, co);
-      return;
-    }
-    simd::requant_icn_u8(pl.rq, acc, addv, o, co);
-  } else {
-    simd::requant_icn_i32(pl.rq, acc, addv, o, co);
-  }
 }
 
 /// Register-blocked integer GEMM over an im2col matrix A (rows [m0, m1) of
@@ -419,8 +409,8 @@ void depthwise_rows_i32(const PlannedLayer& pl, const std::int32_t* x,
         simd::dw_dot_i32(x + ih0 * row + iw0 * C, toff, wt, per, C, acc);
         requant_row(pl, acc, o, C);
       } else if (pl.rq.usable) {
-        // Vector border: MAC the valid-tap rectangle across channels, then
-        // requantize with this window's precomputed pre-add.
+        // Vector border: MAC the valid-tap rectangle across channels, add
+        // the window's Zx term for its missing taps, then requantize.
         const std::int64_t ky0 = ih0 < 0 ? -ih0 : 0;
         const std::int64_t ky1 = std::min(kh, is.h - ih0);
         const std::int64_t kx0 = iw0 < 0 ? -iw0 : 0;
@@ -438,7 +428,8 @@ void depthwise_rows_i32(const PlannedLayer& pl, const std::int32_t* x,
                           wt + (ky * kw + kx) * C, C);
           }
         }
-        requant_border(pl, acc, addv, o, C);
+        for (std::int64_t c = 0; c < C; ++c) acc[c] += addv[c];
+        requant_row(pl, acc, o, C);
       } else {
         depthwise_border_pixel<std::int32_t>(pl, x, o, ih0, iw0);
       }
@@ -685,81 +676,74 @@ void gemm8_rows(const PlannedLayer& pl, RowFn&& row, std::int64_t m0,
           panel_block(pl, r0, r1, cb, k0, k1, row_acc + cb, acc1 + cb);
         }
       }
+      // One requant call for the pixel pair: acc1 sits co_pad after
+      // row_acc, pixel m + 1's codes co after pixel m's.
       const std::int64_t len = std::min(c1, co) - c0;
       if (len > 0) {
-        requant_chunk(pl, row_acc + c0, out + m * co + c0, c0, len);
-        if (two) {
-          requant_chunk(pl, acc1 + c0, out + (m + 1) * co + c0, c0, len);
-        }
+        requant_chunk(pl, row_acc + c0, out + m * co + c0, c0, len,
+                      two ? 2 : 1, co_pad);
       }
     }
   }
 }
 
-/// Direct depthwise u8 kernel over output rows [r0, r1): no im2col --
-/// interior pixels run the pair-interleaved widening dot across channels
-/// and requantize straight back to the output storage; border windows MAC
-/// their valid taps elementwise and requantize with the window's
-/// precomputed pre-add (rq is always usable in the narrow domain).
+/// Row-blocked depthwise u8 kernel over output rows [r0, r1). Each input
+/// row is copied once into this lane's halo ring -- kh slots of (W + 2 pad)
+/// pixels with Zx-filled ends, then one Zx row that stands in for rows
+/// outside the input -- so every output row is one row-kernel call over
+/// Zx-padded windows and one requant call. Exact for the reason
+/// im2col8_pixel's Zx fill is: the requant pre-add bq - Zx*wsum over a
+/// padded window equals bq - Zx*svalid over the valid taps. The ring
+/// starts cold on every call; pad == 0 reads the input rows in place.
 template <typename OutT>
 void depthwise8_rows(const PlannedLayer& pl, const std::uint8_t* x, OutT* y,
-                     std::int64_t r0, std::int64_t r1,
-                     std::int32_t* __restrict__ acc) {
+                     std::int64_t r0, std::int64_t r1, std::uint8_t* ring,
+                     std::int32_t* acc) {
   const QLayer& l = *pl.layer;
   const Shape& is = l.in_shape;
-  const Shape& os = l.out_shape;
   const std::int64_t C = is.c;
   const std::int64_t kh = l.spec.kh;
   const std::int64_t kw = l.spec.kw;
   const std::int64_t stride = l.spec.stride;
   const std::int64_t pad = l.spec.pad;
+  const std::int64_t ow_n = l.out_shape.w;
   const std::int64_t row = is.w * C;
-  const std::int64_t per = kh * kw;
-  const std::int64_t* toff = pl.tap_off.data();
-
+  const std::int64_t edge = pad * C;
+  const std::int64_t prow = row + 2 * edge;
+  const int zx = l.zx;
+  // Unpadded layers have no ring (col8 may even be empty).
+  std::uint8_t* zrow = pad > 0 ? ring + kh * prow : nullptr;
+  if (pad > 0) std::memset(zrow, zx, static_cast<std::size_t>(prow));
+  std::array<const std::uint8_t*, simd::kDwMaxTaps> tap;
+  std::int64_t next = 0;  // input rows below `next` are already in the ring
   for (std::int64_t oh = r0; oh < r1; ++oh) {
-    const bool row_interior = oh >= pl.oh0 && oh < pl.oh1;
     const std::int64_t ih0 = oh * stride - pad;
-    OutT* orow = y + oh * os.w * C;
-    for (std::int64_t ow = 0; ow < os.w; ++ow) {
-      OutT* o = orow + ow * C;
-      const std::int64_t iw0 = ow * stride - pad;
-      const bool vnni = pl.tier == KernelTier::kVnni;
-      if (row_interior && ow >= pl.ow0 && ow < pl.ow1) {
-        if (vnni) {
-          simd::vnni_dw_dot_u8s16p(x + ih0 * row + iw0 * C, toff,
-                                   pl.wt16p.data(), per, C, acc);
-        } else {
-          simd::dw_dot_u8s16p(x + ih0 * row + iw0 * C, toff,
-                              pl.wt16p.data(), per, C, acc);
+    for (std::int64_t ky = 0; ky < kh; ++ky) {
+      const std::int64_t iy = ih0 + ky;
+      const std::uint8_t* src = zrow;
+      if (pad == 0) {
+        src = x + iy * row;
+      } else if (iy >= 0 && iy < is.h) {
+        std::uint8_t* slot = ring + (iy % kh) * prow;
+        if (iy >= next) {
+          std::memset(slot, zx, static_cast<std::size_t>(edge));
+          std::memcpy(slot + edge, x + iy * row, static_cast<std::size_t>(row));
+          std::memset(slot + edge + row, zx, static_cast<std::size_t>(edge));
         }
-        requant_row(pl, acc, o, C);
-      } else {
-        const std::int64_t ky0 = ih0 < 0 ? -ih0 : 0;
-        const std::int64_t ky1 = std::min(kh, is.h - ih0);
-        const std::int64_t kx0 = iw0 < 0 ? -iw0 : 0;
-        const std::int64_t kx1 = std::min(kw, is.w - iw0);
-        const std::int32_t* addv =
-            border_add_for(pl, border_cfg_key(ky0, ky1, kx0, kx1));
-        if (addv == nullptr) {
-          depthwise_border_pixel<std::int32_t>(pl, x, o, ih0, iw0);
-          continue;
-        }
-        std::fill(acc, acc + C, 0);
-        for (std::int64_t ky = ky0; ky < ky1; ++ky) {
-          for (std::int64_t kx = kx0; kx < kx1; ++kx) {
-            if (vnni) {
-              simd::vnni_mac_u8s16(acc, x + (ih0 + ky) * row + (iw0 + kx) * C,
-                                   pl.wt16.data() + (ky * kw + kx) * C, C);
-            } else {
-              simd::mac_u8s16(acc, x + (ih0 + ky) * row + (iw0 + kx) * C,
-                              pl.wt16.data() + (ky * kw + kx) * C, C);
-            }
-          }
-        }
-        requant_border(pl, acc, addv, o, C);
+        src = slot;
       }
+      for (std::int64_t kx = 0; kx < kw; ++kx) tap[ky * kw + kx] = src + kx * C;
     }
+    next = ih0 + kh;
+    if (pl.tier == KernelTier::kVnni) {
+      simd::vnni_dw_row_u8s16(tap.data(), kh * kw, stride * C, C,
+                              pl.wt16p.data(), ow_n, acc);
+    } else {
+      simd::dw_row_u8s16(tap.data(), kh * kw, stride * C, C, pl.wt16p.data(),
+                         ow_n, acc);
+    }
+    requant_chunk(pl, acc, y + oh * ow_n * C, 0, C, ow_n,
+                  simd::round_up(C, 16));
   }
 }
 
@@ -924,68 +908,6 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
                       l.out_shape.w, pl.ow0, pl.ow1);
       pl.gemm = l.kind == QLayerKind::kConv && l.spec.kh == 1 &&
                 l.spec.kw == 1 && l.spec.pad == 0;
-      if (l.kind == QLayerKind::kDepthwise) {
-        const std::int64_t taps = l.spec.kh * l.spec.kw;
-        const std::int64_t C = l.in_shape.c;
-        pl.tap_off.resize(static_cast<std::size_t>(taps));
-        for (std::int64_t ky = 0; ky < l.spec.kh; ++ky) {
-          for (std::int64_t kx = 0; kx < l.spec.kw; ++kx) {
-            pl.tap_off[static_cast<std::size_t>(ky * l.spec.kw + kx)] =
-                (ky * l.in_shape.w + kx) * C;
-          }
-        }
-        // Tap-major transpose for the vectorized interior kernel: one
-        // contiguous channel row of weights per tap.
-        pl.wt.resize(static_cast<std::size_t>(taps * C));
-        for (std::int64_t c = 0; c < C; ++c) {
-          for (std::int64_t t = 0; t < taps; ++t) {
-            pl.wt[static_cast<std::size_t>(t * C + c)] =
-                pl.w[static_cast<std::size_t>(c * taps + t)];
-          }
-        }
-        // Border requant configs: one pre-add vector (bq - Zx*svalid) per
-        // distinct clamped tap window, so border pixels stay on the
-        // vector path. Usability bounds: |svalid| is a tap subset of
-        // wsum, so |Zx*svalid| <= phi_bound and the |bq| + phi_bound
-        // check above covers every config.
-        if (pl.rq.usable) {
-          std::vector<std::pair<std::int64_t, std::int64_t>> kyw, kxw;
-          for (std::int64_t oh = 0; oh < l.out_shape.h; ++oh) {
-            const std::int64_t ih0 = oh * l.spec.stride - l.spec.pad;
-            kyw.emplace_back(ih0 < 0 ? -ih0 : 0,
-                             std::min(l.spec.kh, l.in_shape.h - ih0));
-          }
-          for (std::int64_t ow = 0; ow < l.out_shape.w; ++ow) {
-            const std::int64_t iw0 = ow * l.spec.stride - l.spec.pad;
-            kxw.emplace_back(iw0 < 0 ? -iw0 : 0,
-                             std::min(l.spec.kw, l.in_shape.w - iw0));
-          }
-          std::sort(kyw.begin(), kyw.end());
-          kyw.erase(std::unique(kyw.begin(), kyw.end()), kyw.end());
-          std::sort(kxw.begin(), kxw.end());
-          kxw.erase(std::unique(kxw.begin(), kxw.end()), kxw.end());
-          for (const auto& [ky0, ky1] : kyw) {
-            for (const auto& [kx0, kx1] : kxw) {
-              pl.border_key.push_back(border_cfg_key(ky0, ky1, kx0, kx1));
-              std::vector<std::int32_t> add(static_cast<std::size_t>(C));
-              for (std::int64_t c = 0; c < C; ++c) {
-                std::int64_t svalid = 0;
-                for (std::int64_t ky = ky0; ky < ky1; ++ky) {
-                  for (std::int64_t kx = kx0; kx < kx1; ++kx) {
-                    svalid += pl.tap_sum[static_cast<std::size_t>(
-                        c * taps + ky * l.spec.kw + kx)];
-                  }
-                }
-                add[static_cast<std::size_t>(c)] = static_cast<std::int32_t>(
-                    static_cast<std::int64_t>(
-                        l.icn[static_cast<std::size_t>(c)].bq) -
-                    static_cast<std::int64_t>(l.zx) * svalid);
-              }
-              pl.border_add.push_back(std::move(add));
-            }
-          }
-        }
-      }
     }
 
     if (l.kind == QLayerKind::kGlobalAvgPool) {
@@ -1000,24 +922,21 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
       // Pool and head carry no requantizing MAC kernel of their own; they
       // read whatever codes arrive, so narrow storage is always exact.
       pl.domain = opts.allow_i8 ? ExecDomain::kI8 : ExecDomain::kI32;
-    } else if (opts.allow_i8 && pl.acc32 && pl.rq.usable) {
+    } else if (opts.allow_i8 && pl.acc32 && pl.rq.usable &&
+               (l.kind != QLayerKind::kDepthwise ||
+                l.spec.kh * l.spec.kw <= simd::kDwMaxTaps)) {
       pl.domain = ExecDomain::kI8;
       const std::int64_t per = l.wshape.per_channel();
       const std::int64_t co = l.wshape.co;
       if (l.kind == QLayerKind::kDepthwise) {
-        // Offset weights always fit i16 (|w - Zw| <= 255): build the
-        // tap-major s16 bank (border taps) and its pair-interleaved form
-        // (the interior vpmaddwd kernel; the VNNI tier's vpdpwssd kernel
-        // consumes the same bank).
+        // Offset weights always fit i16 (|w - Zw| <= 255): the row
+        // kernels' bank, tap pairs interleaved per 16-channel block
+        // (vpmaddwd; the VNNI tier's vpdpwssd kernel reads the same bank).
         const std::int64_t taps = l.spec.kh * l.spec.kw;
         const std::int64_t C = l.in_shape.c;
-        pl.wt16.resize(static_cast<std::size_t>(taps * C));
-        for (std::size_t k = 0; k < pl.wt.size(); ++k) {
-          pl.wt16[k] = static_cast<std::int16_t>(pl.wt[k]);
-        }
-        pl.wt16p.assign(
-            static_cast<std::size_t>(simd::dw_pairs(taps) * 2 * C), 0);
-        simd::dw_pack_u8s16(pl.wt16.data(), taps, C, pl.wt16p.data());
+        pl.wt16p.resize(
+            static_cast<std::size_t>(simd::dw_bank_elems(taps, C)));
+        simd::dw_pack_u8s16(pl.w.data(), taps, C, pl.wt16p.data());
         pl.tier = vnni_want ? KernelTier::kVnni : KernelTier::kU8S16;
       } else {
         // Conv (any kernel size, via u8 im2col) and linear run as GEMM.
@@ -1105,6 +1024,68 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
       }
     }
 
+    // Wide-domain depthwise: per-tap input offsets, the tap-major INT32
+    // transpose (one contiguous channel row of weights per tap) and, when
+    // the vector requant is usable, the border windows' Zx terms
+    // Zx*(wsum - svalid) per distinct clamped tap window -- added to a
+    // border pixel's valid-tap sums, they make it requantize like an
+    // interior pixel. |Zx*(wsum - svalid)| <= phi_bound, so the usability
+    // check above covers every window. Narrow layers need none of this.
+    if (l.kind == QLayerKind::kDepthwise && pl.domain == ExecDomain::kI32) {
+      const std::int64_t kh = l.spec.kh;
+      const std::int64_t kw = l.spec.kw;
+      const std::int64_t taps = kh * kw;
+      const std::int64_t C = l.in_shape.c;
+      pl.tap_off.resize(static_cast<std::size_t>(taps));
+      for (std::int64_t t = 0; t < taps; ++t) {
+        pl.tap_off[static_cast<std::size_t>(t)] =
+            ((t / kw) * l.in_shape.w + t % kw) * C;
+      }
+      pl.wt.resize(static_cast<std::size_t>(taps * C));
+      for (std::int64_t c = 0; c < C; ++c) {
+        for (std::int64_t t = 0; t < taps; ++t) {
+          pl.wt[static_cast<std::size_t>(t * C + c)] =
+              pl.w[static_cast<std::size_t>(c * taps + t)];
+        }
+      }
+      if (pl.rq.usable) {
+        std::vector<std::pair<std::int64_t, std::int64_t>> kyw, kxw;
+        for (std::int64_t oh = 0; oh < l.out_shape.h; ++oh) {
+          const std::int64_t ih0 = oh * l.spec.stride - l.spec.pad;
+          kyw.emplace_back(ih0 < 0 ? -ih0 : 0,
+                           std::min(kh, l.in_shape.h - ih0));
+        }
+        for (std::int64_t ow = 0; ow < l.out_shape.w; ++ow) {
+          const std::int64_t iw0 = ow * l.spec.stride - l.spec.pad;
+          kxw.emplace_back(iw0 < 0 ? -iw0 : 0,
+                           std::min(kw, l.in_shape.w - iw0));
+        }
+        std::sort(kyw.begin(), kyw.end());
+        kyw.erase(std::unique(kyw.begin(), kyw.end()), kyw.end());
+        std::sort(kxw.begin(), kxw.end());
+        kxw.erase(std::unique(kxw.begin(), kxw.end()), kxw.end());
+        for (const auto& [ky0, ky1] : kyw) {
+          for (const auto& [kx0, kx1] : kxw) {
+            pl.border_key.push_back(border_cfg_key(ky0, ky1, kx0, kx1));
+            std::vector<std::int32_t> add(static_cast<std::size_t>(C));
+            for (std::int64_t c = 0; c < C; ++c) {
+              std::int64_t svalid = 0;
+              for (std::int64_t ky = ky0; ky < ky1; ++ky) {
+                for (std::int64_t kx = kx0; kx < kx1; ++kx) {
+                  svalid += pl.tap_sum[static_cast<std::size_t>(
+                      c * taps + ky * kw + kx)];
+                }
+              }
+              add[static_cast<std::size_t>(c)] = static_cast<std::int32_t>(
+                  static_cast<std::int64_t>(l.zx) *
+                  (pl.wsum[static_cast<std::size_t>(c)] - svalid));
+            }
+            pl.border_add.push_back(std::move(add));
+          }
+        }
+      }
+    }
+
     layers_.push_back(std::move(pl));
   }
 
@@ -1163,7 +1144,19 @@ ExecutionPlan::ExecutionPlan(const QuantizedNet& net, PlanOptions opts)
             col_elems_, l.out_shape.h * l.out_shape.w * l.in_shape.c);
       }
     }
-    if (l.kind == QLayerKind::kDepthwise) {
+    if (l.kind == QLayerKind::kDepthwise && pl.domain == ExecDomain::kI8) {
+      // One output row of 16-channel-block accumulators, and the halo
+      // ring (kh padded rows plus the Zx row) in the lane's u8 gather
+      // buffer when the layer pads.
+      const std::int64_t C = l.in_shape.c;
+      row_acc_elems_ = std::max(row_acc_elems_,
+                                l.out_shape.w * simd::round_up(C, 16));
+      if (l.spec.pad > 0) {
+        col8_elems_ = std::max(col8_elems_, (l.spec.kh + 1) *
+                                                (l.in_shape.w + 2 * l.spec.pad) *
+                                                C);
+      }
+    } else if (l.kind == QLayerKind::kDepthwise) {
       row_acc_elems_ = std::max(row_acc_elems_, l.in_shape.c);
     } else if (l.kind == QLayerKind::kGlobalAvgPool) {
       if (pl.pool32) {
@@ -1305,9 +1298,11 @@ void ExecutionPlan::run_layer_rows(const PlannedLayer& pl, PlanArenas& arenas,
       }
       case QLayerKind::kDepthwise:
         if (pl.out_u8) {
-          depthwise8_rows(pl, x, arenas.arena8(pl.dst), r0, r1, row_acc);
+          depthwise8_rows(pl, x, arenas.arena8(pl.dst), r0, r1,
+                          arenas.lane_col8(lane), row_acc);
         } else {
-          depthwise8_rows(pl, x, arenas.arena(pl.dst), r0, r1, row_acc);
+          depthwise8_rows(pl, x, arenas.arena(pl.dst), r0, r1,
+                          arenas.lane_col8(lane), row_acc);
         }
         return;
       case QLayerKind::kLinear:

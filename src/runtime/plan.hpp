@@ -29,10 +29,11 @@
 //   valid-tap + rectangle-sum form, so one requant pre-add (bq - Zx*wsum)
 //   covers interior and border alike. The s16 pair panel reads an interior
 //   pixel's kernel rows straight from the input tensor and gathers only
-//   border pixels. Depthwise runs a direct u8 kernel
-//   (no im2col): taps pair-interleaved for vpmaddwd across channels,
-//   vectorized requantization straight back to u8, border windows on the
-//   same vector path via precomputed per-window pre-adds.
+//   border pixels. Depthwise runs a direct u8 row kernel (no im2col): each
+//   input row is copied once into a per-lane halo ring with Zx-filled
+//   ends, so every output row is one kernel call (taps pair-interleaved
+//   for vpmaddwd across 16-channel blocks) and one requant call straight
+//   back to u8 -- the same Zx-fill identity, with no border windows.
 //
 //   INT32 (wide) domain -- the PR 2/3 engine, kept verbatim as the
 //   per-layer fallback whenever any narrow proof fails (threshold-scheme
@@ -142,15 +143,16 @@ struct PlanOptions {
 struct PlannedLayer {
   const QLayer* layer{nullptr};
   std::vector<std::int32_t> w;        ///< unpacked, zero-point-offset weights
-  std::vector<std::int32_t> wt;       ///< depthwise: tap-major transpose of w
+  std::vector<std::int32_t> wt;       ///< wide depthwise: tap-major w
   std::vector<std::int64_t> tap_sum;  ///< (co, kh*kw) sums of offset weights
   std::vector<std::int64_t> wsum;     ///< (co) full-kernel sums
-  std::vector<std::int64_t> tap_off;  ///< depthwise: input offset per tap
+  std::vector<std::int64_t> tap_off;  ///< wide depthwise: offset per tap
   simd::RequantTable rq;              ///< vector requant (when provably exact)
-  /// Depthwise border configs (when rq is usable): for each distinct
-  /// clamped tap window (ky0,ky1,kx0,kx1) that occurs on this layer's
-  /// border, the per-channel requant pre-add bq - Zx*svalid, so border
-  /// pixels run the same vector MAC + requant path as the interior.
+  /// Wide-domain depthwise border configs (when rq is usable): for each
+  /// distinct clamped tap window (ky0,ky1,kx0,kx1) on this layer's border,
+  /// the per-channel Zx term Zx*(wsum - svalid) of its missing taps, so
+  /// border pixels run the same vector MAC + requant path as the interior.
+  /// Narrow layers pad with Zx instead and leave these empty.
   std::vector<std::int64_t> border_key;
   std::vector<std::vector<std::int32_t>> border_add;
   std::int64_t oh0{0}, oh1{0};        ///< interior output rows [oh0, oh1)
@@ -177,8 +179,7 @@ struct PlannedLayer {
   std::int64_t co_pad{0};             ///< co rounded to ocb
   std::vector<std::int8_t> w8;        ///< s8 GEMM panel (w16 empty)
   std::vector<std::int16_t> w16;      ///< s16 pair panel (u8s16 or vnni)
-  std::vector<std::int16_t> wt16;     ///< depthwise tap-major s16 (border)
-  std::vector<std::int16_t> wt16p;    ///< depthwise pair-interleaved s16
+  std::vector<std::int16_t> wt16p;    ///< depthwise row-kernel s16 bank
 };
 
 /// Slack bytes appended to every non-empty u8 arena so the panel kernels'
@@ -205,7 +206,8 @@ inline constexpr std::int64_t kIm2colTileRows = 16;
 /// One thread's working memory for running a plan: the INT32 and u8
 /// ping-pong activation arenas (a tensor lives in the u8 pair exactly when
 /// its consumer layer runs in the narrow domain), the im2col gather
-/// buffers (INT32 for wide strided-pointwise layers, u8 for narrow convs),
+/// buffers (INT32 for wide strided-pointwise layers, u8 for narrow convs
+/// and the narrow depthwise halo ring),
 /// a per-lane row-accumulator scratch and the logits buffer. Sized once
 /// from the plan; steady-state runs never grow it. `lanes` > 1 reserves
 /// one row-accumulator slice per lane for intra-layer row partitioning
@@ -293,7 +295,8 @@ class ExecutionPlan {
   [[nodiscard]] std::int64_t pong8_elems() const { return pong8_elems_; }
   /// im2col gather capacities: whole-matrix for wide strided pointwise
   /// layers; per-lane autotuned-rows tile for narrow s8-panel convs, two
-  /// border-pixel rows for s16 pair-panel convs.
+  /// border-pixel rows for s16 pair-panel convs, the halo ring for narrow
+  /// padded depthwise layers.
   [[nodiscard]] std::int64_t col_elems() const { return col_elems_; }
   [[nodiscard]] std::int64_t col8_elems() const { return col8_elems_; }
   /// Per-lane row-accumulator scratch capacity.

@@ -17,7 +17,7 @@
 // where 32-bit accumulation provably cannot overflow (plan.cpp selects them
 // via phi_bound < 2^30), so re-associating the sums across SIMD lanes
 // cannot change the result; the requantization kernel reproduces
-// floor((v * m0) >> shift) exactly via a bias trick (see requant_icn_i32).
+// floor((v * m0) >> shift) exactly via a bias trick (see requant_icn).
 // Enforced by tests/runtime/simd_test.cpp against the scalar references and
 // transitively by every randomized exactness suite over the planned engine.
 #pragma once
@@ -26,6 +26,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #if defined(__AVX2__)
@@ -456,22 +457,32 @@ inline std::int32_t requant_icn_one(std::int64_t v, std::int64_t m0,
   return static_cast<std::int32_t>(y < 0 ? 0 : (y > hi ? hi : y));
 }
 
-/// out[c] = requantized code of raw accumulator acc[c], c in [0, n), with
-/// per-channel pre-add `add` (usually rq.add; depthwise border pixels pass
-/// their border-config pre-add bq - Zx*svalid instead).
+/// Requantize channels [c0, c0 + n) of `npix` pixels that share one
+/// channel table: out[q * out_stride + c] = code of raw accumulator
+/// acc[q * acc_stride + c] with the pre-add rq.add[c0 + c], stored as i32
+/// codes or packed u8 (every code is in [0, hi] with hi <= 255, so the u8
+/// store never truncates). acc/out point AT the chunk; c0 offsets the
+/// table only. The vector bodies load each channel group's table once and
+/// walk the pixels under it.
 ///
-/// The vector body reproduces the arithmetic right shift exactly with
+/// The AVX2 body reproduces the arithmetic right shift exactly with
 /// unsigned ops: |v*m0| < 2^62, so (v*m0 + 2^62) is non-negative and
 /// (v*m0 + 2^62) >>logical s  ==  (v*m0 >>arith s) + (2^62 >> s)
 /// because 2^62 is divisible by 2^s for every s <= 62.
-/// `c0` offsets the TABLE columns (m0/shift/bias_sub) only: N-blocked GEMMs
-/// requantize channel chunk [c0, c0+n) with acc/add/out already pointing at
-/// the chunk.
-inline void requant_icn_i32(const RequantTable& rq,
-                            const std::int32_t* __restrict__ acc,
-                            const std::int32_t* __restrict__ add,
-                            std::int32_t* __restrict__ out, std::int64_t n,
-                            std::int64_t c0 = 0) {
+template <typename OutT>
+inline void requant_icn(const RequantTable& rq,
+                        const std::int32_t* __restrict__ acc,
+                        OutT* __restrict__ out, std::int64_t n,
+                        std::int64_t c0 = 0, std::int64_t npix = 1,
+                        std::int64_t acc_stride = 0,
+                        std::int64_t out_stride = 0) {
+  const std::int32_t* add = rq.add.data() + c0;
+  const auto one = [&](std::int64_t q, std::int64_t c, std::int64_t v) {
+    out[q * out_stride + c] = static_cast<OutT>(requant_icn_one(
+        v, rq.m0[static_cast<std::size_t>(c0 + c)],
+        rq.shift[static_cast<std::size_t>(c0 + c)], rq.zy, rq.hi));
+  };
+  std::int64_t c = 0;
 #if defined(MIXQ_SIMD_AVX2)
   if (enabled()) {
     const __m256i bias = _mm256_set1_epi64x(std::int64_t{1} << 62);
@@ -479,43 +490,83 @@ inline void requant_icn_i32(const RequantTable& rq,
     const __m256i hiv = _mm256_set1_epi64x(rq.hi);
     const __m256i zero = _mm256_setzero_si256();
     const __m256i pick = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
-    std::int64_t c = 0;
     for (; c + 4 <= n; c += 4) {
-      const __m128i a32 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + c));
       const __m128i ad32 =
           _mm_loadu_si128(reinterpret_cast<const __m128i*>(add + c));
-      // v = acc + add fits int32 by the usability conditions.
-      const __m256i v = _mm256_cvtepi32_epi64(_mm_add_epi32(a32, ad32));
       const __m256i m0 = _mm256_loadu_si256(
           reinterpret_cast<const __m256i*>(rq.m0.data() + c0 + c));
       const __m256i sh = _mm256_loadu_si256(
           reinterpret_cast<const __m256i*>(rq.shift.data() + c0 + c));
       const __m256i bs = _mm256_loadu_si256(
           reinterpret_cast<const __m256i*>(rq.bias_sub.data() + c0 + c));
-      const __m256i prod = _mm256_mul_epi32(v, m0);
-      const __m256i t = _mm256_srlv_epi64(_mm256_add_epi64(prod, bias), sh);
-      __m256i y = _mm256_add_epi64(_mm256_sub_epi64(t, bs), zyv);
-      y = _mm256_andnot_si256(_mm256_cmpgt_epi64(zero, y), y);
-      y = _mm256_blendv_epi8(y, hiv, _mm256_cmpgt_epi64(y, hiv));
-      const __m256i packed = _mm256_permutevar8x32_epi32(y, pick);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + c),
-                       _mm256_castsi256_si128(packed));
+      for (std::int64_t q = 0; q < npix; ++q) {
+        const __m128i a32 = _mm_loadu_si128(
+            reinterpret_cast<const __m128i*>(acc + q * acc_stride + c));
+        // v = acc + add fits int32 by the usability conditions.
+        const __m256i v = _mm256_cvtepi32_epi64(_mm_add_epi32(a32, ad32));
+        const __m256i prod = _mm256_mul_epi32(v, m0);
+        const __m256i t = _mm256_srlv_epi64(_mm256_add_epi64(prod, bias), sh);
+        __m256i y = _mm256_add_epi64(_mm256_sub_epi64(t, bs), zyv);
+        y = _mm256_andnot_si256(_mm256_cmpgt_epi64(zero, y), y);
+        y = _mm256_blendv_epi8(y, hiv, _mm256_cmpgt_epi64(y, hiv));
+        const __m128i p32 =
+            _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(y, pick));
+        OutT* o = out + q * out_stride + c;
+        if constexpr (std::is_same_v<OutT, std::uint8_t>) {
+          const __m128i p16 = _mm_packus_epi32(p32, p32);
+          const int word = _mm_cvtsi128_si32(_mm_packus_epi16(p16, p16));
+          std::memcpy(o, &word, 4);
+        } else {
+          _mm_storeu_si128(reinterpret_cast<__m128i*>(o), p32);
+        }
+      }
     }
-    for (; c < n; ++c) {
-      out[c] = requant_icn_one(
-          static_cast<std::int64_t>(acc[c]) + add[c],
-          rq.m0[static_cast<std::size_t>(c0 + c)],
-          rq.shift[static_cast<std::size_t>(c0 + c)], rq.zy, rq.hi);
+  }
+#elif defined(MIXQ_SIMD_SSE4)
+  if (enabled()) {
+    // Partial vectorization: v = acc + add runs 4-wide; the per-channel
+    // variable 64-bit shift has no SSE4.1 form, so the multiply/shift/
+    // clamp chain stays scalar (still bit-exact by construction).
+    for (; c + 4 <= n; c += 4) {
+      const __m128i ad32 =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(add + c));
+      for (std::int64_t q = 0; q < npix; ++q) {
+        alignas(16) std::int32_t v[4];
+        _mm_store_si128(reinterpret_cast<__m128i*>(v),
+                        _mm_add_epi32(_mm_loadu_si128(
+                                          reinterpret_cast<const __m128i*>(
+                                              acc + q * acc_stride + c)),
+                                      ad32));
+        for (int j = 0; j < 4; ++j) one(q, c + j, v[j]);
+      }
     }
-    return;
+  }
+#elif defined(MIXQ_SIMD_NEON)
+  {
+    // Two channels per iteration: vshlq_s64 with a negative count is an
+    // exact arithmetic right shift (floor), so no bias trick is needed.
+    const int64x2_t zyv = vdupq_n_s64(rq.zy);
+    const int64x2_t hiv = vdupq_n_s64(rq.hi);
+    const int64x2_t zero = vdupq_n_s64(0);
+    for (; c + 2 <= n; c += 2) {
+      const int32x2_t ad = vld1_s32(add + c);
+      const int32x2_t m032 = vmovn_s64(vld1q_s64(rq.m0.data() + c0 + c));
+      const int64x2_t sh = vnegq_s64(vld1q_s64(rq.shift.data() + c0 + c));
+      for (std::int64_t q = 0; q < npix; ++q) {
+        const int32x2_t v32 = vadd_s32(vld1_s32(acc + q * acc_stride + c), ad);
+        int64x2_t y = vaddq_s64(vshlq_s64(vmull_s32(v32, m032), sh), zyv);
+        y = vbslq_s64(vcltq_s64(y, zero), zero, y);
+        y = vbslq_s64(vcgtq_s64(y, hiv), hiv, y);
+        out[q * out_stride + c] = static_cast<OutT>(vgetq_lane_s64(y, 0));
+        out[q * out_stride + c + 1] = static_cast<OutT>(vgetq_lane_s64(y, 1));
+      }
+    }
   }
 #endif
-  for (std::int64_t c = 0; c < n; ++c) {
-    out[c] = requant_icn_one(
-        static_cast<std::int64_t>(acc[c]) + add[c],
-        rq.m0[static_cast<std::size_t>(c0 + c)],
-        rq.shift[static_cast<std::size_t>(c0 + c)], rq.zy, rq.hi);
+  for (; c < n; ++c) {
+    for (std::int64_t q = 0; q < npix; ++q) {
+      one(q, c, static_cast<std::int64_t>(acc[q * acc_stride + c]) + add[c]);
+    }
   }
 }
 
@@ -906,213 +957,127 @@ inline void gemm_s16(const std::uint8_t* a0, std::int64_t stride0,
 }
 
 // ---------------------------------------------------------------------------
-// Direct depthwise u8 kernel: per-pixel dot across channels with taps
-// interleaved in pairs so vpmaddwd reduces two taps per i32 lane.
+// Depthwise u8 row kernel: one call per output row. Channels run in blocks
+// of 16; within a block the taps pair up, so one vpmaddwd reduces two taps
+// per i32 lane. The bank is block-major: block b's pair p is 32 contiguous
+// i16, (w[2p][c], w[2p+1][c]) per channel c (zero partner for an odd tap
+// count, zero weights for pad channels), so a block's weights are one
+// contiguous run.
 // ---------------------------------------------------------------------------
+
+/// Most taps a narrow depthwise layer may have (the row kernels' callers
+/// keep one tap pointer each on the stack).
+constexpr std::int64_t kDwMaxTaps = 64;
 
 /// Number of tap pairs (odd tap counts pad with a zero-weight partner).
 inline std::int64_t dw_pairs(std::int64_t taps) { return (taps + 1) / 2; }
 
-/// Pair-interleave tap-major i16 depthwise weights: for pair p over taps
-/// (2p, 2p+1), wtp[p*2C + 2c] = w[2p][c] and wtp[p*2C + 2c + 1] = w[2p+1][c]
-/// (zero when 2p+1 == taps). `wt` is tap-major (taps rows of C).
-inline void dw_pack_u8s16(const std::int16_t* wt, std::int64_t taps,
-                          std::int64_t C, std::int16_t* wtp) {
-  for (std::int64_t p = 0; p < dw_pairs(taps); ++p) {
-    const std::int64_t t0 = 2 * p;
-    const std::int64_t t1 = 2 * p + 1;
-    for (std::int64_t c = 0; c < C; ++c) {
-      wtp[p * 2 * C + 2 * c] = wt[t0 * C + c];
-      wtp[p * 2 * C + 2 * c + 1] =
-          t1 < taps ? wt[t1 * C + c] : std::int16_t{0};
+/// Index of weight (channel c, tap t) inside the row kernels' bank.
+inline std::int64_t dw_bank_index(std::int64_t pairs, std::int64_t c,
+                                  std::int64_t t) {
+  return ((c / 16) * pairs + t / 2) * 32 + (c % 16) * 2 + t % 2;
+}
+
+/// Bank capacity in i16: C rounded up to the 16-channel block.
+inline std::int64_t dw_bank_elems(std::int64_t taps, std::int64_t C) {
+  return round_up(C, 16) * dw_pairs(taps) * 2;
+}
+
+/// Pack channel-major offset weights (C rows of `taps`) into the bank.
+inline void dw_pack_u8s16(const std::int32_t* w, std::int64_t taps,
+                          std::int64_t C, std::int16_t* bank) {
+  std::fill(bank, bank + dw_bank_elems(taps, C), std::int16_t{0});
+  for (std::int64_t c = 0; c < C; ++c) {
+    for (std::int64_t t = 0; t < taps; ++t) {
+      bank[dw_bank_index(dw_pairs(taps), c, t)] =
+          static_cast<std::int16_t>(w[c * taps + t]);
     }
   }
 }
 
-/// acc[c] = sum_t x[toff[t] + c] * w[t][c] with u8 activations and the
-/// pair-interleaved i16 weight bank from dw_pack_u8s16 (overwrites acc).
-inline void dw_dot_u8s16p(const std::uint8_t* __restrict__ x,
-                          const std::int64_t* __restrict__ toff,
-                          const std::int16_t* __restrict__ wtp,
-                          std::int64_t taps, std::int64_t C,
-                          std::int32_t* __restrict__ acc) {
+#if defined(MIXQ_SIMD_AVX2)
+namespace detail {
+/// PX pixels of one 16-channel block; pixel q's tap t starts at
+/// tap[t] + off + q * step, its sums land at acc + q * cp.
+template <int PX>
+inline void dw_row_px(const std::uint8_t* const* tap, std::int64_t taps,
+                      std::int64_t off, std::int64_t step,
+                      const std::int16_t* __restrict__ wb,
+                      std::int32_t* __restrict__ acc, std::int64_t cp) {
+  __m256i lo[PX], hi[PX];
+  for (int q = 0; q < PX; ++q) lo[q] = hi[q] = _mm256_setzero_si256();
+  for (std::int64_t t = 0; t < taps; t += 2) {
+    const std::uint8_t* a0 = tap[t] + off;
+    const std::uint8_t* a1 = tap[t + 1 < taps ? t + 1 : t] + off;
+    const __m256i wlo =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(wb + t * 16));
+    const __m256i whi = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(wb + t * 16 + 16));
+    for (int q = 0; q < PX; ++q) {
+      const __m128i x0 =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(a0 + q * step));
+      const __m128i x1 =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(a1 + q * step));
+      lo[q] = _mm256_add_epi32(
+          lo[q], _mm256_madd_epi16(
+                     _mm256_cvtepu8_epi16(_mm_unpacklo_epi8(x0, x1)), wlo));
+      hi[q] = _mm256_add_epi32(
+          hi[q], _mm256_madd_epi16(
+                     _mm256_cvtepu8_epi16(_mm_unpackhi_epi8(x0, x1)), whi));
+    }
+  }
+  for (int q = 0; q < PX; ++q) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + q * cp), lo[q]);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + q * cp + 8), hi[q]);
+  }
+}
+}  // namespace detail
+#endif
+
+/// One depthwise output row of `npix` pixels: acc[j * cp + c] = sum_t
+/// tap[t][j * step + c] * w[t][c] for c < C, cp = round_up(C, 16). tap[t]
+/// is pixel 0's window at tap t. The vector body computes whole 16-channel
+/// blocks: it reads up to 15 bytes past a pixel's last channel (the
+/// caller's rows carry slack) and leaves junk in acc's pad lanes, which no
+/// caller reads.
+inline void dw_row_u8s16(const std::uint8_t* const* tap, std::int64_t taps,
+                         std::int64_t step, std::int64_t C,
+                         const std::int16_t* bank, std::int64_t npix,
+                         std::int32_t* acc) {
+  const std::int64_t cp = round_up(C, 16);
   const std::int64_t pairs = dw_pairs(taps);
 #if defined(MIXQ_SIMD_AVX2)
   if (enabled()) {
-    std::int64_t c = 0;
-    for (; c + 16 <= C; c += 16) {
-      __m256i alo = _mm256_setzero_si256();
-      __m256i ahi = _mm256_setzero_si256();
-      for (std::int64_t p = 0; p < pairs; ++p) {
-        const std::int64_t t1 = 2 * p + 1 < taps ? 2 * p + 1 : 2 * p;
-        const __m128i x0 = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(x + toff[2 * p] + c));
-        const __m128i x1 = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(x + toff[t1] + c));
-        const __m256i vlo =
-            _mm256_cvtepu8_epi16(_mm_unpacklo_epi8(x0, x1));
-        const __m256i vhi =
-            _mm256_cvtepu8_epi16(_mm_unpackhi_epi8(x0, x1));
-        const __m256i wlo = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(wtp + p * 2 * C + 2 * c));
-        const __m256i whi = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(wtp + p * 2 * C + 2 * c + 16));
-        alo = _mm256_add_epi32(alo, _mm256_madd_epi16(vlo, wlo));
-        ahi = _mm256_add_epi32(ahi, _mm256_madd_epi16(vhi, whi));
+    for (std::int64_t cb = 0; cb < cp; cb += 16) {
+      const std::int16_t* wb = bank + cb * pairs * 2;
+      std::int64_t j = 0;
+      for (; j + 2 <= npix; j += 2) {
+        detail::dw_row_px<2>(tap, taps, cb + j * step, step, wb,
+                             acc + j * cp + cb, cp);
       }
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + c), alo);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + c + 8), ahi);
-    }
-    for (; c < C; ++c) {
-      std::int32_t s = 0;
-      for (std::int64_t t = 0; t < taps; ++t) {
-        s += static_cast<std::int32_t>(x[toff[t] + c]) *
-             wtp[(t / 2) * 2 * C + 2 * c + (t & 1)];
+      if (j < npix) {
+        detail::dw_row_px<1>(tap, taps, cb + j * step, step, wb,
+                             acc + j * cp + cb, cp);
       }
-      acc[c] = s;
-    }
-    return;
-  }
-#elif defined(MIXQ_SIMD_SSE4)
-  if (enabled()) {
-    std::int64_t c = 0;
-    for (; c + 8 <= C; c += 8) {
-      __m128i alo = _mm_setzero_si128();
-      __m128i ahi = _mm_setzero_si128();
-      for (std::int64_t p = 0; p < pairs; ++p) {
-        const std::int64_t t1 = 2 * p + 1 < taps ? 2 * p + 1 : 2 * p;
-        const __m128i x0 = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i*>(x + toff[2 * p] + c));
-        const __m128i x1 = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i*>(x + toff[t1] + c));
-        const __m128i il = _mm_unpacklo_epi8(x0, x1);
-        const __m128i vlo = _mm_cvtepu8_epi16(il);
-        const __m128i vhi = _mm_cvtepu8_epi16(_mm_srli_si128(il, 8));
-        const __m128i wlo = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(wtp + p * 2 * C + 2 * c));
-        const __m128i whi = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(wtp + p * 2 * C + 2 * c + 8));
-        alo = _mm_add_epi32(alo, _mm_madd_epi16(vlo, wlo));
-        ahi = _mm_add_epi32(ahi, _mm_madd_epi16(vhi, whi));
-      }
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + c), alo);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + c + 4), ahi);
-    }
-    for (; c < C; ++c) {
-      std::int32_t s = 0;
-      for (std::int64_t t = 0; t < taps; ++t) {
-        s += static_cast<std::int32_t>(x[toff[t] + c]) *
-             wtp[(t / 2) * 2 * C + 2 * c + (t & 1)];
-      }
-      acc[c] = s;
-    }
-    return;
-  }
-#elif defined(MIXQ_SIMD_NEON)
-  {
-    std::int64_t c = 0;
-    for (; c + 8 <= C; c += 8) {
-      int32x4_t alo = vdupq_n_s32(0);
-      int32x4_t ahi = vdupq_n_s32(0);
-      for (std::int64_t p = 0; p < pairs; ++p) {
-        const std::int64_t t1 = 2 * p + 1 < taps ? 2 * p + 1 : 2 * p;
-        // De-interleave the pair's weights back to per-tap channel rows.
-        const int16x8x2_t wp = vld2q_s16(wtp + p * 2 * C + 2 * c);
-        const int16x8_t x0 = vreinterpretq_s16_u16(
-            vmovl_u8(vld1_u8(x + toff[2 * p] + c)));
-        alo = vmlal_s16(alo, vget_low_s16(x0), vget_low_s16(wp.val[0]));
-        ahi = vmlal_s16(ahi, vget_high_s16(x0), vget_high_s16(wp.val[0]));
-        const int16x8_t x1 =
-            vreinterpretq_s16_u16(vmovl_u8(vld1_u8(x + toff[t1] + c)));
-        alo = vmlal_s16(alo, vget_low_s16(x1), vget_low_s16(wp.val[1]));
-        ahi = vmlal_s16(ahi, vget_high_s16(x1), vget_high_s16(wp.val[1]));
-      }
-      vst1q_s32(acc + c, alo);
-      vst1q_s32(acc + c + 4, ahi);
-    }
-    for (; c < C; ++c) {
-      std::int32_t s = 0;
-      for (std::int64_t t = 0; t < taps; ++t) {
-        s += static_cast<std::int32_t>(x[toff[t] + c]) *
-             wtp[(t / 2) * 2 * C + 2 * c + (t & 1)];
-      }
-      acc[c] = s;
     }
     return;
   }
 #endif
-  for (std::int64_t c = 0; c < C; ++c) {
-    std::int32_t s = 0;
-    for (std::int64_t t = 0; t < taps; ++t) {
-      s += static_cast<std::int32_t>(x[toff[t] + c]) *
-           wtp[(t / 2) * 2 * C + 2 * c + (t & 1)];
+  for (std::int64_t j = 0; j < npix; ++j) {
+    for (std::int64_t c = 0; c < C; ++c) {
+      std::int32_t s = 0;
+      for (std::int64_t t = 0; t < taps; ++t) {
+        s += static_cast<std::int32_t>(tap[t][j * step + c]) *
+             bank[dw_bank_index(pairs, c, t)];
+      }
+      acc[j * cp + c] = s;
     }
-    acc[c] = s;
   }
 }
 
 // ---------------------------------------------------------------------------
-// Elementwise narrow helpers (depthwise border taps, pool, head).
+// Elementwise narrow helpers (pool, head).
 // ---------------------------------------------------------------------------
-
-/// acc[i] += x[i] * w[i] with u8 activations and i16 weights.
-inline void mac_u8s16(std::int32_t* __restrict__ acc,
-                      const std::uint8_t* __restrict__ x,
-                      const std::int16_t* __restrict__ w, std::int64_t n) {
-#if defined(MIXQ_SIMD_AVX2)
-  if (enabled()) {
-    std::int64_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-      const __m256i xv = _mm256_cvtepu8_epi32(
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(x + i)));
-      const __m256i wv = _mm256_cvtepi16_epi32(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + i)));
-      __m256i a =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-      a = _mm256_add_epi32(a, _mm256_mullo_epi32(xv, wv));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i), a);
-    }
-    for (; i < n; ++i) acc[i] += static_cast<std::int32_t>(x[i]) * w[i];
-    return;
-  }
-#elif defined(MIXQ_SIMD_SSE4)
-  if (enabled()) {
-    std::int64_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      std::uint32_t u;
-      std::memcpy(&u, x + i, 4);
-      const __m128i xv = _mm_cvtepu8_epi32(
-          _mm_cvtsi32_si128(static_cast<int>(u)));
-      const __m128i wv = _mm_cvtepi16_epi32(
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(w + i)));
-      __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + i));
-      a = _mm_add_epi32(a, _mm_mullo_epi32(xv, wv));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + i), a);
-    }
-    for (; i < n; ++i) acc[i] += static_cast<std::int32_t>(x[i]) * w[i];
-    return;
-  }
-#elif defined(MIXQ_SIMD_NEON)
-  {
-    std::int64_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-      const int16x8_t xv = vreinterpretq_s16_u16(vmovl_u8(vld1_u8(x + i)));
-      const int16x8_t wv = vld1q_s16(w + i);
-      int32x4_t lo = vld1q_s32(acc + i);
-      int32x4_t hi = vld1q_s32(acc + i + 4);
-      lo = vmlal_s16(lo, vget_low_s16(xv), vget_low_s16(wv));
-      hi = vmlal_s16(hi, vget_high_s16(xv), vget_high_s16(wv));
-      vst1q_s32(acc + i, lo);
-      vst1q_s32(acc + i + 4, hi);
-    }
-    for (; i < n; ++i) acc[i] += static_cast<std::int32_t>(x[i]) * w[i];
-    return;
-  }
-#endif
-  for (std::int64_t i = 0; i < n; ++i) {
-    acc[i] += static_cast<std::int32_t>(x[i]) * w[i];
-  }
-}
 
 /// acc[i] += x[i] for u8 x (global-average-pool row accumulate).
 inline void add_u8_i32(std::int32_t* __restrict__ acc,
@@ -1231,118 +1196,6 @@ inline std::int32_t dot_u8_i32(const std::uint8_t* __restrict__ a,
     s += static_cast<std::int32_t>(a[k]) * w[k];
   }
   return s;
-}
-
-/// Narrow-store variant of requant_icn_i32: identical arithmetic, output
-/// stored as packed u8 codes (every requantized code is in [0, hi] with
-/// hi <= 255, so the narrowing never truncates).
-/// `c0` offsets the table columns as in requant_icn_i32.
-inline void requant_icn_u8(const RequantTable& rq,
-                           const std::int32_t* __restrict__ acc,
-                           const std::int32_t* __restrict__ add,
-                           std::uint8_t* __restrict__ out, std::int64_t n,
-                           std::int64_t c0 = 0) {
-#if defined(MIXQ_SIMD_AVX2)
-  if (enabled()) {
-    const __m256i bias = _mm256_set1_epi64x(std::int64_t{1} << 62);
-    const __m256i zyv = _mm256_set1_epi64x(rq.zy);
-    const __m256i hiv = _mm256_set1_epi64x(rq.hi);
-    const __m256i zero = _mm256_setzero_si256();
-    const __m256i pick = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
-    std::int64_t c = 0;
-    for (; c + 4 <= n; c += 4) {
-      const __m128i a32 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + c));
-      const __m128i ad32 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(add + c));
-      const __m256i v = _mm256_cvtepi32_epi64(_mm_add_epi32(a32, ad32));
-      const __m256i m0 = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(rq.m0.data() + c0 + c));
-      const __m256i sh = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(rq.shift.data() + c0 + c));
-      const __m256i bs = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(rq.bias_sub.data() + c0 + c));
-      const __m256i prod = _mm256_mul_epi32(v, m0);
-      const __m256i t = _mm256_srlv_epi64(_mm256_add_epi64(prod, bias), sh);
-      __m256i y = _mm256_add_epi64(_mm256_sub_epi64(t, bs), zyv);
-      y = _mm256_andnot_si256(_mm256_cmpgt_epi64(zero, y), y);
-      y = _mm256_blendv_epi8(y, hiv, _mm256_cmpgt_epi64(y, hiv));
-      const __m128i p32 =
-          _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(y, pick));
-      const __m128i p16 = _mm_packus_epi32(p32, p32);
-      const int word = _mm_cvtsi128_si32(_mm_packus_epi16(p16, p16));
-      std::memcpy(out + c, &word, 4);
-    }
-    for (; c < n; ++c) {
-      out[c] = static_cast<std::uint8_t>(requant_icn_one(
-          static_cast<std::int64_t>(acc[c]) + add[c],
-          rq.m0[static_cast<std::size_t>(c0 + c)],
-          rq.shift[static_cast<std::size_t>(c0 + c)], rq.zy, rq.hi));
-    }
-    return;
-  }
-#elif defined(MIXQ_SIMD_SSE4)
-  if (enabled()) {
-    // Partial vectorization: v = acc + add runs 4-wide; the per-channel
-    // variable 64-bit shift has no SSE4.1 form, so the multiply/shift/
-    // clamp chain stays scalar (still bit-exact by construction).
-    std::int64_t c = 0;
-    for (; c + 4 <= n; c += 4) {
-      alignas(16) std::int32_t v[4];
-      _mm_store_si128(
-          reinterpret_cast<__m128i*>(v),
-          _mm_add_epi32(
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + c)),
-              _mm_loadu_si128(reinterpret_cast<const __m128i*>(add + c))));
-      for (int j = 0; j < 4; ++j) {
-        out[c + j] = static_cast<std::uint8_t>(requant_icn_one(
-            v[j], rq.m0[static_cast<std::size_t>(c0 + c + j)],
-            rq.shift[static_cast<std::size_t>(c0 + c + j)], rq.zy, rq.hi));
-      }
-    }
-    for (; c < n; ++c) {
-      out[c] = static_cast<std::uint8_t>(requant_icn_one(
-          static_cast<std::int64_t>(acc[c]) + add[c],
-          rq.m0[static_cast<std::size_t>(c0 + c)],
-          rq.shift[static_cast<std::size_t>(c0 + c)], rq.zy, rq.hi));
-    }
-    return;
-  }
-#elif defined(MIXQ_SIMD_NEON)
-  {
-    // Two channels per iteration: vshlq_s64 with a negative count is an
-    // exact arithmetic right shift (floor), so no bias trick is needed.
-    const int64x2_t zyv = vdupq_n_s64(rq.zy);
-    const int64x2_t hiv = vdupq_n_s64(rq.hi);
-    const int64x2_t zero = vdupq_n_s64(0);
-    std::int64_t c = 0;
-    for (; c + 2 <= n; c += 2) {
-      const int32x2_t v32 =
-          vadd_s32(vld1_s32(acc + c), vld1_s32(add + c));
-      const int32x2_t m032 = vmovn_s64(vld1q_s64(rq.m0.data() + c0 + c));
-      const int64x2_t prod = vmull_s32(v32, m032);
-      const int64x2_t sh = vnegq_s64(vld1q_s64(rq.shift.data() + c0 + c));
-      int64x2_t y = vaddq_s64(vshlq_s64(prod, sh), zyv);
-      y = vbslq_s64(vcltq_s64(y, zero), zero, y);
-      y = vbslq_s64(vcgtq_s64(y, hiv), hiv, y);
-      out[c] = static_cast<std::uint8_t>(vgetq_lane_s64(y, 0));
-      out[c + 1] = static_cast<std::uint8_t>(vgetq_lane_s64(y, 1));
-    }
-    for (; c < n; ++c) {
-      out[c] = static_cast<std::uint8_t>(requant_icn_one(
-          static_cast<std::int64_t>(acc[c]) + add[c],
-          rq.m0[static_cast<std::size_t>(c0 + c)],
-          rq.shift[static_cast<std::size_t>(c0 + c)], rq.zy, rq.hi));
-    }
-    return;
-  }
-#endif
-  for (std::int64_t c = 0; c < n; ++c) {
-    out[c] = static_cast<std::uint8_t>(requant_icn_one(
-        static_cast<std::int64_t>(acc[c]) + add[c],
-        rq.m0[static_cast<std::size_t>(c0 + c)],
-        rq.shift[static_cast<std::size_t>(c0 + c)], rq.zy, rq.hi));
-  }
 }
 
 // ---------------------------------------------------------------------------

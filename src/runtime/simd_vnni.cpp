@@ -112,82 +112,61 @@ void vnni_gemm_x2(const std::uint8_t* a0, const std::uint8_t* a1,
   _mm512_storeu_si512(acc1, q);
 }
 
-void vnni_dw_dot_u8s16p(const std::uint8_t* x, const std::int64_t* toff,
-                        const std::int16_t* wtp, std::int64_t taps,
-                        std::int64_t C, std::int32_t* acc) {
-  const std::int64_t pairs = (taps + 1) / 2;
-  std::int64_t c = 0;
-  // 32 channels per iteration. _mm256_unpack*_epi8 interleaves per
-  // 128-bit lane, so the widened activation pairs land in channel order
-  // [c..c+7, c+16..c+23] (lo) / [c+8..c+15, c+24..c+31] (hi); the weight
-  // bank is linear, so one vshufi64x2 per madd reorders it to match, and
-  // two more restore linear channel order for the acc stores.
-  for (; c + 32 <= C; c += 32) {
-    __m512i alo = _mm512_setzero_si512();
-    __m512i ahi = _mm512_setzero_si512();
-    for (std::int64_t p = 0; p < pairs; ++p) {
-      // Odd tap counts read tap t0 twice; its pack partner weight is 0.
-      const std::int64_t t1 = 2 * p + 1 < taps ? 2 * p + 1 : 2 * p;
-      const __m256i x0 = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(x + toff[2 * p] + c));
-      const __m256i x1 = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(x + toff[t1] + c));
-      const __m512i vlo = _mm512_cvtepu8_epi16(_mm256_unpacklo_epi8(x0, x1));
-      const __m512i vhi = _mm512_cvtepu8_epi16(_mm256_unpackhi_epi8(x0, x1));
-      const __m512i wa = _mm512_loadu_si512(wtp + p * 2 * C + 2 * c);
-      const __m512i wb = _mm512_loadu_si512(wtp + p * 2 * C + 2 * c + 32);
-      alo = _mm512_dpwssd_epi32(alo, vlo, _mm512_shuffle_i64x2(wa, wb, 0x44));
-      ahi = _mm512_dpwssd_epi32(ahi, vhi, _mm512_shuffle_i64x2(wa, wb, 0xEE));
+namespace {
+
+/// PX pixels of one 16-channel depthwise block (see dw_row_u8s16).
+template <int PX>
+[[gnu::always_inline]] inline void dw_row_px(const std::uint8_t* const* tap,
+                                             std::int64_t taps,
+                                             std::int64_t off,
+                                             std::int64_t step,
+                                             const std::int16_t* wb,
+                                             std::int32_t* acc,
+                                             std::int64_t cp) {
+  __m256i lo[PX], hi[PX];
+  for (int q = 0; q < PX; ++q) lo[q] = hi[q] = _mm256_setzero_si256();
+  for (std::int64_t t = 0; t < taps; t += 2) {
+    const std::uint8_t* a0 = tap[t] + off;
+    const std::uint8_t* a1 = tap[t + 1 < taps ? t + 1 : t] + off;
+    const __m256i wlo =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(wb + t * 16));
+    const __m256i whi = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(wb + t * 16 + 16));
+    for (int q = 0; q < PX; ++q) {
+      const __m128i x0 =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(a0 + q * step));
+      const __m128i x1 =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(a1 + q * step));
+      lo[q] = _mm256_dpwssd_epi32(
+          lo[q], _mm256_cvtepu8_epi16(_mm_unpacklo_epi8(x0, x1)), wlo);
+      hi[q] = _mm256_dpwssd_epi32(
+          hi[q], _mm256_cvtepu8_epi16(_mm_unpackhi_epi8(x0, x1)), whi);
     }
-    _mm512_storeu_si512(acc + c, _mm512_shuffle_i64x2(alo, ahi, 0x44));
-    _mm512_storeu_si512(acc + c + 16, _mm512_shuffle_i64x2(alo, ahi, 0xEE));
   }
-  // 16-channel step: 128-bit unpack is linear across the register, so no
-  // reordering is needed (same shape as the AVX2 kernel, dpwssd-fused).
-  for (; c + 16 <= C; c += 16) {
-    __m256i a0v = _mm256_setzero_si256();
-    __m256i a1v = _mm256_setzero_si256();
-    for (std::int64_t p = 0; p < pairs; ++p) {
-      const std::int64_t t1 = 2 * p + 1 < taps ? 2 * p + 1 : 2 * p;
-      const __m128i x0 = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(x + toff[2 * p] + c));
-      const __m128i x1 = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(x + toff[t1] + c));
-      const __m256i vlo = _mm256_cvtepu8_epi16(_mm_unpacklo_epi8(x0, x1));
-      const __m256i vhi = _mm256_cvtepu8_epi16(_mm_unpackhi_epi8(x0, x1));
-      const __m256i wlo = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(wtp + p * 2 * C + 2 * c));
-      const __m256i whi = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(wtp + p * 2 * C + 2 * c + 16));
-      a0v = _mm256_dpwssd_epi32(a0v, vlo, wlo);
-      a1v = _mm256_dpwssd_epi32(a1v, vhi, whi);
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + c), a0v);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + c + 8), a1v);
-  }
-  for (; c < C; ++c) {
-    std::int32_t s = 0;
-    for (std::int64_t t = 0; t < taps; ++t) {
-      s += static_cast<std::int32_t>(x[toff[t] + c]) *
-           wtp[(t / 2) * 2 * C + 2 * c + (t & 1)];
-    }
-    acc[c] = s;
+  for (int q = 0; q < PX; ++q) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + q * cp), lo[q]);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + q * cp + 8), hi[q]);
   }
 }
 
-void vnni_mac_u8s16(std::int32_t* acc, const std::uint8_t* x,
-                    const std::int16_t* w, std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512i xv = _mm512_cvtepu8_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i)));
-    const __m512i wv = _mm512_cvtepi16_epi32(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i)));
-    const __m512i av = _mm512_loadu_si512(acc + i);
-    _mm512_storeu_si512(acc + i,
-                        _mm512_add_epi32(av, _mm512_mullo_epi32(xv, wv)));
+}  // namespace
+
+void vnni_dw_row_u8s16(const std::uint8_t* const* tap, std::int64_t taps,
+                       std::int64_t step, std::int64_t C,
+                       const std::int16_t* bank, std::int64_t npix,
+                       std::int32_t* acc) {
+  const std::int64_t cp = (C + 15) / 16 * 16;
+  const std::int64_t pairs = (taps + 1) / 2;
+  for (std::int64_t cb = 0; cb < cp; cb += 16) {
+    const std::int16_t* wb = bank + cb * pairs * 2;
+    std::int64_t j = 0;
+    for (; j + 4 <= npix; j += 4) {
+      dw_row_px<4>(tap, taps, cb + j * step, step, wb, acc + j * cp + cb, cp);
+    }
+    for (; j < npix; ++j) {
+      dw_row_px<1>(tap, taps, cb + j * step, step, wb, acc + j * cp + cb, cp);
+    }
   }
-  for (; i < n; ++i) acc[i] += static_cast<std::int32_t>(x[i]) * w[i];
 }
 
 namespace {
@@ -264,37 +243,63 @@ template <int R>
 
 }  // namespace
 
-void vnni_requant_u8(const std::int32_t* acc, const std::int32_t* add,
-                     const std::int64_t* m0, const std::int64_t* shift,
-                     std::int32_t zy, std::int32_t hi, std::uint8_t* out,
-                     std::int64_t n) {
-  const __m512i zyv = _mm512_set1_epi64(zy);
-  const __m512i hiv = _mm512_set1_epi64(hi);
-  const __m512i zero = _mm512_setzero_si512();
-  std::int64_t c = 0;
-  for (; c + 8 <= n; c += 8) {
+namespace {
+
+/// One 8-channel requant group of `npix` pixels; Full groups load and
+/// store plainly, the tail group under mask m (no lane past n is touched).
+template <bool Full>
+[[gnu::always_inline]] inline void requant_group(
+    const std::int32_t* acc, const std::int32_t* add, const std::int64_t* m0,
+    const std::int64_t* shift, __m512i zyv, __m512i hiv, std::uint8_t* out,
+    __mmask8 m, std::int64_t npix, std::int64_t acc_stride,
+    std::int64_t out_stride) {
+  const __m256i ad32 =
+      Full ? _mm256_loadu_si256(reinterpret_cast<const __m256i*>(add))
+           : _mm256_maskz_loadu_epi32(m, add);
+  const __m512i m0v =
+      Full ? _mm512_loadu_si512(m0) : _mm512_maskz_loadu_epi64(m, m0);
+  const __m512i sh =
+      Full ? _mm512_loadu_si512(shift) : _mm512_maskz_loadu_epi64(m, shift);
+  for (std::int64_t q = 0; q < npix; ++q) {
+    const std::int32_t* a = acc + q * acc_stride;
     const __m256i a32 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + c));
-    const __m256i ad32 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(add + c));
+        Full ? _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a))
+             : _mm256_maskz_loadu_epi32(m, a);
     // v = acc + add fits int32 by the plan's usability proof; vpmuldq
     // reads the (sign-extended) low dwords, so the product is the exact
     // 64-bit v * m0 (0 <= m0 < 2^31).
     const __m512i v = _mm512_cvtepi32_epi64(_mm256_add_epi32(a32, ad32));
-    const __m512i prod = _mm512_mul_epi32(v, _mm512_loadu_si512(m0 + c));
-    const __m512i sh = _mm512_loadu_si512(shift + c);
-    __m512i y = _mm512_add_epi64(_mm512_srav_epi64(prod, sh), zyv);
-    y = _mm512_max_epi64(y, zero);
-    y = _mm512_min_epi64(y, hiv);
+    __m512i y = _mm512_add_epi64(
+        _mm512_srav_epi64(_mm512_mul_epi32(v, m0v), sh), zyv);
+    y = _mm512_min_epi64(_mm512_max_epi64(y, _mm512_setzero_si512()), hiv);
     // Codes are in [0, hi] <= 255: vpmovqb's truncation never loses bits.
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + c),
-                     _mm512_cvtepi64_epi8(y));
+    std::uint8_t* o = out + q * out_stride;
+    if (Full) {
+      _mm_storel_epi64(reinterpret_cast<__m128i*>(o), _mm512_cvtepi64_epi8(y));
+    } else {
+      _mm512_mask_cvtepi64_storeu_epi8(o, m, y);
+    }
   }
-  for (; c < n; ++c) {
-    const std::int64_t v = static_cast<std::int64_t>(acc[c]) + add[c];
-    const std::int64_t y =
-        static_cast<std::int64_t>(zy) + ((v * m0[c]) >> shift[c]);
-    out[c] = static_cast<std::uint8_t>(y < 0 ? 0 : (y > hi ? hi : y));
+}
+
+}  // namespace
+
+void vnni_requant_u8(const std::int32_t* acc, const std::int32_t* add,
+                     const std::int64_t* m0, const std::int64_t* shift,
+                     std::int32_t zy, std::int32_t hi, std::uint8_t* out,
+                     std::int64_t n, std::int64_t npix,
+                     std::int64_t acc_stride, std::int64_t out_stride) {
+  const __m512i zyv = _mm512_set1_epi64(zy);
+  const __m512i hiv = _mm512_set1_epi64(hi);
+  std::int64_t c = 0;
+  for (; c + 8 <= n; c += 8) {
+    requant_group<true>(acc + c, add + c, m0 + c, shift + c, zyv, hiv,
+                        out + c, 0xFF, npix, acc_stride, out_stride);
+  }
+  if (c < n) {
+    requant_group<false>(acc + c, add + c, m0 + c, shift + c, zyv, hiv,
+                         out + c, static_cast<__mmask8>((1u << (n - c)) - 1u),
+                         npix, acc_stride, out_stride);
   }
 }
 
@@ -341,15 +346,11 @@ void vnni_gemm_x2(const std::uint8_t* a0, const std::uint8_t* a1,
   vnni_gemm_x1(a1, block, klen, acc1, accumulate);
 }
 
-void vnni_dw_dot_u8s16p(const std::uint8_t* x, const std::int64_t* toff,
-                        const std::int16_t* wtp, std::int64_t taps,
-                        std::int64_t C, std::int32_t* acc) {
-  dw_dot_u8s16p(x, toff, wtp, taps, C, acc);
-}
-
-void vnni_mac_u8s16(std::int32_t* acc, const std::uint8_t* x,
-                    const std::int16_t* w, std::int64_t n) {
-  mac_u8s16(acc, x, w, n);
+void vnni_dw_row_u8s16(const std::uint8_t* const* tap, std::int64_t taps,
+                       std::int64_t step, std::int64_t C,
+                       const std::int16_t* bank, std::int64_t npix,
+                       std::int32_t* acc) {
+  dw_row_u8s16(tap, taps, step, C, bank, npix, acc);
 }
 
 void vnni_gemm_s16(const std::uint8_t* a0, std::int64_t stride0,
@@ -364,10 +365,14 @@ void vnni_gemm_s16(const std::uint8_t* a0, std::int64_t stride0,
 void vnni_requant_u8(const std::int32_t* acc, const std::int32_t* add,
                      const std::int64_t* m0, const std::int64_t* shift,
                      std::int32_t zy, std::int32_t hi, std::uint8_t* out,
-                     std::int64_t n) {
-  for (std::int64_t c = 0; c < n; ++c) {
-    out[c] = static_cast<std::uint8_t>(requant_icn_one(
-        static_cast<std::int64_t>(acc[c]) + add[c], m0[c], shift[c], zy, hi));
+                     std::int64_t n, std::int64_t npix,
+                     std::int64_t acc_stride, std::int64_t out_stride) {
+  for (std::int64_t q = 0; q < npix; ++q) {
+    for (std::int64_t c = 0; c < n; ++c) {
+      out[q * out_stride + c] = static_cast<std::uint8_t>(requant_icn_one(
+          static_cast<std::int64_t>(acc[q * acc_stride + c]) + add[c], m0[c],
+          shift[c], zy, hi));
+    }
   }
 }
 

@@ -5,8 +5,7 @@
 // intermediate i16 pair sums, so the AVX2 panel's
 // max(|w[2k]| + |w[2k+1]|) * qmax(qx) <= 32767 eligibility bound does not
 // apply), vpdpwssd bodies for the s16 banks the AVX2 kernels use (the
-// u8 x s16 pair-panel GEMM and the pair-interleaved depthwise), an
-// elementwise u8 x s16 MAC for the depthwise border path, and an
+// u8 x s16 pair-panel GEMM and the depthwise row kernel), and an
 // exact-arithmetic-shift requantizer (vpsravq needs no unsigned bias
 // trick).
 //
@@ -87,16 +86,14 @@ void vnni_gemm_x2(const std::uint8_t* a0, const std::uint8_t* a1,
                   const std::int8_t* block, std::int64_t klen,
                   std::int32_t* acc0, std::int32_t* acc1, int accumulate);
 
-/// Depthwise interior: acc[c] = sum_t x[toff[t] + c] * w[t][c] over the
-/// pair-interleaved i16 bank from dw_pack_u8s16 (32 channels per
-/// iteration via vpdpwssd). Overwrites acc. Bit-exact with dw_dot_u8s16p.
-void vnni_dw_dot_u8s16p(const std::uint8_t* x, const std::int64_t* toff,
-                        const std::int16_t* wtp, std::int64_t taps,
-                        std::int64_t C, std::int32_t* acc);
-
-/// Elementwise acc[i] += x[i] * w[i] (depthwise border taps).
-void vnni_mac_u8s16(std::int32_t* acc, const std::uint8_t* x,
-                    const std::int16_t* w, std::int64_t n);
+/// Depthwise output row over the dw_pack_u8s16 bank (16-channel blocks,
+/// four pixels in flight on vpdpwssd): acc[j * cp + c] = sum_t
+/// tap[t][j * step + c] * w[t][c], cp = C rounded up to 16. Same contract
+/// (overread, junk pad lanes) as dw_row_u8s16 and bit-exact with it.
+void vnni_dw_row_u8s16(const std::uint8_t* const* tap, std::int64_t taps,
+                       std::int64_t step, std::int64_t C,
+                       const std::int16_t* bank, std::int64_t npix,
+                       std::int32_t* acc);
 
 /// u8 x s16 pair panel (layout: gemm_s16_index in simd.hpp), one or two
 /// rows (a1 == nullptr: one): acc_r[j] (+)= sum over padded k in [k0, k1)
@@ -110,14 +107,17 @@ void vnni_gemm_s16(const std::uint8_t* a0, std::int64_t stride0,
                    std::int64_t k0, std::int64_t k1, std::int32_t* acc0,
                    std::int32_t* acc1, int accumulate);
 
-/// Requantize n channels: out[c] = clamp(zy + ((acc[c]+add[c]) * m0[c])
-/// >>arith shift[c], 0, hi) -- identical arithmetic to requant_icn_one.
-/// m0/shift point at the RequantTable columns (callers offset them for
-/// channel-blocked requant). vpsravq is an exact arithmetic shift, so no
-/// 2^62 bias trick is needed.
+/// Requantize channels [0, n) of `npix` pixels: out[q * out_stride + c] =
+/// clamp(zy + ((acc[q * acc_stride + c] + add[c]) * m0[c]) >>arith
+/// shift[c], 0, hi) -- identical arithmetic to requant_icn_one. add/m0/
+/// shift point at the RequantTable columns (callers offset them for
+/// channel-blocked requant); each 8-channel group's table is loaded once
+/// for all pixels. vpsravq is an exact arithmetic shift, so no 2^62 bias
+/// trick is needed.
 void vnni_requant_u8(const std::int32_t* acc, const std::int32_t* add,
                      const std::int64_t* m0, const std::int64_t* shift,
                      std::int32_t zy, std::int32_t hi, std::uint8_t* out,
-                     std::int64_t n);
+                     std::int64_t n, std::int64_t npix,
+                     std::int64_t acc_stride, std::int64_t out_stride);
 
 }  // namespace mixq::runtime::simd

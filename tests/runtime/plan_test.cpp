@@ -18,6 +18,7 @@
 #include "mcu/device.hpp"
 #include "mcu/memory_map.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/parallel.hpp"
 #include "runtime/plan.hpp"
 #include "runtime/simd_vnni.hpp"
 #include "support/random_qlayer.hpp"
@@ -483,6 +484,76 @@ TEST(PlanDomain, S16PairPanelMatchesReference) {
           check(extreme_s16_layer(QLayerKind::kLinear, pw.out_shape, 5, 1,
                                   1, 0, rng),
                 what + " linear");
+        }
+      }
+    }
+  }
+}
+
+/// The narrow depthwise row kernel and its Zx halo ring against the
+/// reference: C across the 16-channel block (1 .. 130), 3x3 and 5x5,
+/// stride 1/2, pad 0..2, odd HxW including W < k, +-255 offset weights and
+/// the all-255 image of expect_plan_bit_exact. Each case runs the AVX2/
+/// scalar body (Vnni::kOff), the vpdpwssd body (kForce) and the host's
+/// choice (kAuto), then run_into over 1-, 2- and 3-lane pools, so row
+/// ranges start mid-tensor and the ring starts cold. Narrow layers build
+/// no border windows; the all-INT32 plan of the same layer does.
+TEST(PlanDomain, DepthwiseRowKernelMatchesReference) {
+  const bool vnni_runnable = !simd::vnni_compiled() || simd::vnni_cpu();
+  Rng rng(37);
+  ThreadPool pools[] = {ThreadPool(1), ThreadPool(2), ThreadPool(3)};
+  for (const std::int64_t C : {1, 15, 16, 17, 32, 40, 64, 130}) {
+    for (const std::int64_t k : {3, 5}) {
+      for (std::int64_t stride = 1; stride <= 2; ++stride) {
+        for (std::int64_t pad = 0; pad <= 2; ++pad) {
+          for (const std::int64_t w : {std::int64_t{11}, k - 2}) {
+            if (w + 2 * pad < k) continue;
+            const std::string what =
+                "C=" + std::to_string(C) + " k=" + std::to_string(k) +
+                " s=" + std::to_string(stride) + " p=" + std::to_string(pad) +
+                " w=" + std::to_string(w);
+            QuantizedNet net;
+            net.input_qp = core::make_quant_params(0.0f, 1.0f, BitWidth::kQ8);
+            net.layers.push_back(extreme_s16_layer(
+                QLayerKind::kDepthwise, Shape(1, 13, w, C), C, k, stride, pad,
+                rng));
+            net.validate();
+            for (const auto vnni :
+                 {PlanOptions::Vnni::kOff, PlanOptions::Vnni::kForce,
+                  PlanOptions::Vnni::kAuto}) {
+              if (vnni == PlanOptions::Vnni::kForce && !vnni_runnable) continue;
+              PlanOptions opts;
+              opts.vnni = vnni;
+              const ExecutionPlan plan(net, opts);
+              const PlannedLayer& pl = plan.layers().front();
+              ASSERT_EQ(pl.domain, ExecDomain::kI8) << what;
+              EXPECT_TRUE(pl.border_key.empty()) << what;
+              EXPECT_TRUE(pl.border_add.empty()) << what;
+              expect_plan_bit_exact(net, plan, what);
+            }
+            const ExecutionPlan plan(net);
+            Executor exec(net);
+            FloatTensor img(net.layers.front().in_shape);
+            rng.fill_uniform(img.vec(), -0.2, 1.2);
+            const QInferenceResult ref = exec.run(img);
+            PlanArenas arenas(plan, 3);
+            for (ThreadPool& pool : pools) {
+              const std::vector<float>& got =
+                  plan.run_into(img.data(), arenas, pool);
+              ASSERT_EQ(got.size(), ref.logits.size()) << what;
+              for (std::size_t i = 0; i < got.size(); ++i) {
+                ASSERT_EQ(got[i], ref.logits[i])
+                    << what << " lanes=" << pool.lanes() << " logit " << i;
+              }
+            }
+            if (pad > 0 && w > k) {
+              PlanOptions wide;
+              wide.allow_i8 = false;
+              EXPECT_FALSE(
+                  ExecutionPlan(net, wide).layers().front().border_key.empty())
+                  << what;
+            }
+          }
         }
       }
     }

@@ -10,6 +10,7 @@
 
 #include "core/icn.hpp"
 #include "runtime/simd.hpp"
+#include "support/dw_row_case.hpp"
 #include "support/s16_panel_case.hpp"
 #include "tensor/rng.hpp"
 
@@ -295,62 +296,14 @@ TEST(SimdNarrow, S16PairPanelMatchesScalar) {
       });
 }
 
-TEST(SimdNarrow, DwPairDotMatchesScalar) {
-  Rng rng(23);
-  for (const std::int64_t taps : {std::int64_t{4}, std::int64_t{9}}) {
-    for (const std::int64_t C : kSizes) {
-      if (C == 0) continue;
-      const std::int64_t in_w = 5;
-      const auto x = random_u8(rng, (2 * in_w + 3) * C, 0, 255);
-      std::vector<std::int16_t> wt(static_cast<std::size_t>(taps * C));
-      for (auto& v : wt) {
-        v = static_cast<std::int16_t>(
-            static_cast<int>(rng.uniform_int(511)) - 255);
-      }
-      std::vector<std::int64_t> toff(static_cast<std::size_t>(taps));
-      for (std::int64_t t = 0; t < taps; ++t) {
-        toff[static_cast<std::size_t>(t)] = ((t / 3) * in_w + t % 3) * C;
-      }
-      std::vector<std::int16_t> wtp(
-          static_cast<std::size_t>(simd::dw_pairs(taps) * 2 * C));
-      simd::dw_pack_u8s16(wt.data(), taps, C, wtp.data());
-      std::vector<std::int32_t> acc(static_cast<std::size_t>(C), -5);
-      simd::dw_dot_u8s16p(x.data(), toff.data(), wtp.data(), taps, C,
-                          acc.data());
-      for (std::int64_t c = 0; c < C; ++c) {
-        std::int32_t s = 0;
-        for (std::int64_t t = 0; t < taps; ++t) {
-          s += static_cast<std::int32_t>(
-                   x[static_cast<std::size_t>(
-                       toff[static_cast<std::size_t>(t)] + c)]) *
-               wt[static_cast<std::size_t>(t * C + c)];
-        }
-        EXPECT_EQ(acc[static_cast<std::size_t>(c)], s)
-            << "taps=" << taps << " C=" << C << " c=" << c;
-      }
-    }
-  }
+TEST(SimdNarrow, DwRowMatchesScalar) {
+  test::check_dw_row_shapes(simd::dw_row_u8s16);
 }
 
 TEST(SimdNarrow, ElementwiseHelpersMatchScalar) {
   Rng rng(24);
   for (const std::int64_t n : kSizes) {
     const auto x = random_u8(rng, n, 0, 255);
-    std::vector<std::int16_t> w16(static_cast<std::size_t>(n));
-    for (auto& v : w16) {
-      v = static_cast<std::int16_t>(
-          static_cast<int>(rng.uniform_int(511)) - 255);
-    }
-    auto acc = random_codes(rng, n, -1000, 1000);
-    auto expect = acc;
-    for (std::int64_t i = 0; i < n; ++i) {
-      expect[static_cast<std::size_t>(i)] +=
-          static_cast<std::int32_t>(x[static_cast<std::size_t>(i)]) *
-          w16[static_cast<std::size_t>(i)];
-    }
-    simd::mac_u8s16(acc.data(), x.data(), w16.data(), n);
-    EXPECT_EQ(acc, expect) << "mac_u8s16 n=" << n;
-
     auto acc2 = random_codes(rng, n, -1000, 1000);
     auto expect2 = acc2;
     for (std::int64_t i = 0; i < n; ++i) {
@@ -397,8 +350,8 @@ TEST(SimdNarrow, RequantU8MatchesI32Kernel) {
     const auto acc = random_codes(rng, n, -200000, 200000);
     std::vector<std::int32_t> out32(static_cast<std::size_t>(n), -1);
     std::vector<std::uint8_t> out8(static_cast<std::size_t>(n), 7);
-    simd::requant_icn_i32(rq, acc.data(), rq.add.data(), out32.data(), n);
-    simd::requant_icn_u8(rq, acc.data(), rq.add.data(), out8.data(), n);
+    simd::requant_icn(rq, acc.data(), out32.data(), n);
+    simd::requant_icn(rq, acc.data(), out8.data(), n);
     for (std::int64_t c = 0; c < n; ++c) {
       EXPECT_EQ(static_cast<std::int32_t>(out8[static_cast<std::size_t>(c)]),
                 out32[static_cast<std::size_t>(c)])
@@ -436,7 +389,7 @@ TEST(Simd, RequantMatchesFixedPointReference) {
 
     const auto acc = random_codes(rng, n, -200000, 200000);
     std::vector<std::int32_t> out(static_cast<std::size_t>(n), -1);
-    simd::requant_icn_i32(rq, acc.data(), rq.add.data(), out.data(), n);
+    simd::requant_icn(rq, acc.data(), out.data(), n);
     for (std::int64_t c = 0; c < n; ++c) {
       const std::int64_t v =
           static_cast<std::int64_t>(acc[static_cast<std::size_t>(c)]) +

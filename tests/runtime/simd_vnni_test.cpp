@@ -16,6 +16,7 @@
 
 #include "runtime/simd.hpp"
 #include "runtime/simd_vnni.hpp"
+#include "support/dw_row_case.hpp"
 #include "support/s16_panel_case.hpp"
 #include "tensor/rng.hpp"
 
@@ -186,71 +187,12 @@ TEST(SimdVnni, KBlockedAccumulationMatchesSinglePass) {
 }
 
 // ---------------------------------------------------------------------------
-// Depthwise + elementwise kernels vs scalar.
+// Depthwise row kernel and s16 pair panel vs scalar.
 // ---------------------------------------------------------------------------
 
-TEST(SimdVnni, DwDotMatchesScalar) {
+TEST(SimdVnni, DwRowMatchesScalar) {
   SKIP_IF_NOT_RUNNABLE();
-  Rng rng(14);
-  for (const std::int64_t C : {std::int64_t{1}, std::int64_t{8},
-                               std::int64_t{16}, std::int64_t{33},
-                               std::int64_t{64}}) {
-    for (const std::int64_t taps : {std::int64_t{4}, std::int64_t{9}}) {
-      const auto x = random_u8(rng, (taps + 2) * C);
-      std::vector<std::int16_t> wt(static_cast<std::size_t>(taps * C));
-      for (auto& v : wt) {
-        v = static_cast<std::int16_t>(
-            static_cast<std::int32_t>(rng.uniform_int(511)) - 255);
-      }
-      std::vector<std::int64_t> toff(static_cast<std::size_t>(taps));
-      for (std::int64_t t = 0; t < taps; ++t) {
-        toff[static_cast<std::size_t>(t)] = t * C;  // dense windows
-      }
-      std::vector<std::int16_t> wtp(
-          static_cast<std::size_t>(simd::dw_pairs(taps) * 2 * C));
-      simd::dw_pack_u8s16(wt.data(), taps, C, wtp.data());
-
-      std::vector<std::int32_t> expect(static_cast<std::size_t>(C), 0);
-      for (std::int64_t t = 0; t < taps; ++t) {
-        for (std::int64_t c = 0; c < C; ++c) {
-          expect[static_cast<std::size_t>(c)] +=
-              static_cast<std::int32_t>(
-                  x[static_cast<std::size_t>(toff[static_cast<std::size_t>(
-                        t)] + c)]) *
-              wt[static_cast<std::size_t>(t * C + c)];
-        }
-      }
-      std::vector<std::int32_t> acc(static_cast<std::size_t>(C), -1);
-      simd::vnni_dw_dot_u8s16p(x.data(), toff.data(), wtp.data(), taps, C,
-                               acc.data());
-      EXPECT_EQ(acc, expect) << "C=" << C << " taps=" << taps;
-    }
-  }
-}
-
-TEST(SimdVnni, MacMatchesScalar) {
-  SKIP_IF_NOT_RUNNABLE();
-  Rng rng(15);
-  for (const std::int64_t n : {std::int64_t{0}, std::int64_t{1},
-                               std::int64_t{7}, std::int64_t{16},
-                               std::int64_t{31}, std::int64_t{64},
-                               std::int64_t{100}}) {
-    const auto x = random_u8(rng, n);
-    std::vector<std::int16_t> w(static_cast<std::size_t>(n));
-    for (auto& v : w) {
-      v = static_cast<std::int16_t>(
-          static_cast<std::int32_t>(rng.uniform_int(1001)) - 500);
-    }
-    std::vector<std::int32_t> acc(static_cast<std::size_t>(n), 3);
-    std::vector<std::int32_t> expect(static_cast<std::size_t>(n), 3);
-    for (std::int64_t i = 0; i < n; ++i) {
-      expect[static_cast<std::size_t>(i)] +=
-          static_cast<std::int32_t>(x[static_cast<std::size_t>(i)]) *
-          w[static_cast<std::size_t>(i)];
-    }
-    simd::vnni_mac_u8s16(acc.data(), x.data(), w.data(), n);
-    EXPECT_EQ(acc, expect) << "n=" << n;
-  }
+  test::check_dw_row_shapes(simd::vnni_dw_row_u8s16);
 }
 
 TEST(SimdVnni, S16PairPanelMatchesScalar) {
@@ -291,9 +233,22 @@ TEST(SimdVnni, RequantMatchesScalarAcrossShifts) {
     }
     const std::int32_t zy = static_cast<std::int32_t>(rng.uniform_int(16));
     const std::int32_t hi = 255;
-    std::vector<std::uint8_t> out(static_cast<std::size_t>(n), 0xAA);
+    // Two pixels sharing the table: the second reads acc shifted by one
+    // and writes n + 3 bytes on, so the strides are checked too.
+    acc.push_back(7);
+    std::vector<std::uint8_t> out(static_cast<std::size_t>(2 * n + 3), 0xAA);
     simd::vnni_requant_u8(acc.data(), add.data(), m0.data(), shift.data(),
-                          zy, hi, out.data(), n);
+                          zy, hi, out.data(), n, 2, 1, n + 3);
+    for (std::int64_t i = 0; i < n; ++i) {
+      const std::int32_t second = simd::requant_icn_one(
+          static_cast<std::int64_t>(acc[static_cast<std::size_t>(i + 1)]) +
+              add[static_cast<std::size_t>(i)],
+          m0[static_cast<std::size_t>(i)],
+          shift[static_cast<std::size_t>(i)], zy, hi);
+      EXPECT_EQ(out[static_cast<std::size_t>(n + 3 + i)],
+                static_cast<std::uint8_t>(second))
+          << "second pixel n=" << n << " i=" << i;
+    }
     for (std::int64_t i = 0; i < n; ++i) {
       const std::int32_t expect = simd::requant_icn_one(
           static_cast<std::int64_t>(acc[static_cast<std::size_t>(i)]) +

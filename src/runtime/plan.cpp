@@ -343,12 +343,11 @@ inline const std::int32_t* border_add_for(const PlannedLayer& pl,
   return nullptr;
 }
 
-/// Depthwise border pixel: per-channel scalar taps over the clamped
-/// rectangle (shared by every depthwise kernel, both domains -- XT is the
-/// activation storage type, AccT the proven accumulator width).
-template <typename AccT, typename XT, typename OutT>
-void depthwise_border_pixel(const PlannedLayer& pl, const XT* x, OutT* o,
-                            std::int64_t ih0, std::int64_t iw0) {
+/// Wide-domain depthwise border pixel: per-channel scalar taps over the
+/// clamped rectangle (AccT is the proven accumulator width).
+template <typename AccT, typename OutT>
+void depthwise_border_pixel(const PlannedLayer& pl, const std::int32_t* x,
+                            OutT* o, std::int64_t ih0, std::int64_t iw0) {
   const QLayer& l = *pl.layer;
   const Shape& is = l.in_shape;
   const std::int64_t C = is.c;
@@ -367,7 +366,7 @@ void depthwise_border_pixel(const PlannedLayer& pl, const XT* x, OutT* o,
     AccT acc = 0;
     std::int64_t svalid = 0;
     for (std::int64_t ky = ky0; ky < ky1; ++ky) {
-      const XT* xr = x + (ih0 + ky) * row + c;
+      const std::int32_t* xr = x + (ih0 + ky) * row + c;
       for (std::int64_t kx = kx0; kx < kx1; ++kx) {
         acc += static_cast<AccT>(xr[(iw0 + kx) * C]) * wch[ky * kw + kx];
         svalid += ts[ky * kw + kx];

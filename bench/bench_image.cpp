@@ -186,9 +186,9 @@ int main(int argc, char** argv) {
     Rng irng(7);
     FloatTensor img(net_raw.layers.front().in_shape);
     irng.fill_uniform(img.vec(), 0.0, 1.0);
-    Executor ex_raw(net_raw, /*fast=*/true);
-    Executor ex_stream(net_stream, /*fast=*/true);
-    Executor ex_mmap(net_mmap, /*fast=*/true);
+    Executor ex_raw(net_raw);
+    Executor ex_stream(net_stream);
+    Executor ex_mmap(net_mmap);
     const auto l_raw = ex_raw.run_planned(img).logits;
     exact = logits_equal(l_raw, ex_stream.run_planned(img).logits) &&
             logits_equal(l_raw, ex_mmap.run_planned(img).logits);
@@ -215,12 +215,12 @@ int main(int argc, char** argv) {
   // (load + plan) to both paths so the comparison is honest.
   const double plan_stream_ms = best_ms(reps, [&] {
     const QuantizedNet n = read_flash_image_file(v2_path);
-    Executor ex(n, /*fast=*/true);
+    Executor ex(n);
     ex.plan();
   });
   const double plan_mmap_ms = best_ms(reps, [&] {
     const QuantizedNet n = load_flash_image_mmap(v2_path);
-    Executor ex(n, /*fast=*/true);
+    Executor ex(n);
     ex.plan();
   });
 

@@ -19,7 +19,6 @@
 
 #include "core/thresholds.hpp"
 #include "runtime/autotune.hpp"
-#include "runtime/fast_kernels.hpp"
 #include "runtime/kernels.hpp"
 #include "runtime/simd.hpp"
 #include "runtime/simd_vnni.hpp"
@@ -156,32 +155,6 @@ void BM_ActPrecisionSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_ActPrecisionSweep)->Arg(8)->Arg(4)->Arg(2);
 
-void BM_FastVsReference(benchmark::State& state) {
-  // Arg 0: reference packed-access kernels; Arg 1: fast unpacked path.
-  const bool fast = state.range(0) == 1;
-  const runtime::QLayer l =
-      make_layer(runtime::QLayerKind::kConv, Shape(1, 16, 16, 16), 16, 3, 1,
-                 BitWidth::kQ8, BitWidth::kQ4, BitWidth::kQ8,
-                 Scheme::kPCICN);
-  const PackedBuffer in = random_input(l);
-  PackedBuffer out(l.out_shape.numel(), l.qy);
-  runtime::Scratch scratch;
-  const std::int64_t macs =
-      l.out_shape.numel() * l.spec.kh * l.spec.kw * l.wshape.ci;
-  for (auto _ : state) {
-    if (fast) {
-      runtime::run_layer_fast(l, in, out, scratch);
-    } else {
-      runtime::run_layer(l, in, out);
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.counters["MACs/s"] = benchmark::Counter(
-      static_cast<double>(macs),
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_FastVsReference)->Arg(0)->Arg(1);
-
 // ---------------------------------------------------------------------------
 // Narrow-vs-wide SIMD micro-kernels (runtime/simd.hpp), independent of the
 // layer plumbing: one iteration computes M x co output accumulators over
@@ -201,6 +174,11 @@ void BM_GemmMicro_i32(benchmark::State& state) {
   for (auto& v : w) {
     v = static_cast<std::int32_t>(rng.uniform_int(31)) - 15;
   }
+  // The plan passes fan-in at run time; a constant one lets GCC specialise
+  // the inlined kernel and warn (-Waggressive-loop-optimizations) on its
+  // dead scalar tail.
+  std::int64_t k_len = kMicroK;
+  benchmark::DoNotOptimize(k_len);
   for (auto _ : state) {
     for (std::int64_t m = 0; m < kMicroM; m += 2) {
       const std::int32_t* a0 = a.data() + m * kMicroK;
@@ -209,7 +187,7 @@ void BM_GemmMicro_i32(benchmark::State& state) {
       for (std::int64_t oc = 0; oc < kMicroCo; oc += 4) {
         const std::int32_t* wr = w.data() + oc * kMicroK;
         runtime::simd::dot2x4_i32(a0, a1, wr, wr + kMicroK, wr + 2 * kMicroK,
-                                  wr + 3 * kMicroK, kMicroK, acc.data() + oc,
+                                  wr + 3 * kMicroK, k_len, acc.data() + oc,
                                   acc.data() + kMicroCo + oc);
       }
       benchmark::DoNotOptimize(acc.data());
@@ -310,10 +288,13 @@ void BM_DwMicro_i32(benchmark::State& state) {
       toff[static_cast<std::size_t>(ky * 3 + kx)] = (ky * in_w + kx) * kDwC;
     }
   }
+  // Channel count at run time, as in the plan (see BM_GemmMicro_i32).
+  std::int64_t channels = kDwC;
+  benchmark::DoNotOptimize(channels);
   for (auto _ : state) {
     for (std::int64_t p = 0; p < kDwPixels; ++p) {
       runtime::simd::dw_dot_i32(x.data() + p * kDwC, toff.data(), wt.data(),
-                                kDwTaps, kDwC, acc.data());
+                                kDwTaps, channels, acc.data());
       benchmark::DoNotOptimize(acc.data());
     }
   }

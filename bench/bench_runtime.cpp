@@ -1,10 +1,9 @@
 // bench_runtime -- the tracked performance benchmark of the execution
 // engine. Builds a MobileNet-class, pointwise-dominated mixed 2/4/8-bit
 // workload (the deployment shape the paper targets), verifies once that the
-// reference, fast and planned paths agree bit-exactly, then times:
+// reference and planned paths agree bit-exactly, then times:
 //
 //   * reference path  -- packed get/set kernels (kernels.hpp)
-//   * fast path       -- per-layer unpacked-scratch kernels (seed engine)
 //   * planned path    -- compiled ExecutionPlan (plan.hpp)
 //
 // and emits results/BENCH_runtime.json with end-to-end and per-layer
@@ -168,26 +167,21 @@ int main(int argc, char** argv) {
   FloatTensor img(net.layers.front().in_shape);
   rng.fill_uniform(img.vec(), 0.0, 1.0);
 
-  Executor ref_exec(net, /*fast=*/false);
-  Executor fast_exec(net, /*fast=*/true);
+  Executor exec(net);
 
-  // Correctness gate: all three paths bit-exact on this workload.
-  const QInferenceResult r_ref = ref_exec.run(img);
-  const QInferenceResult r_fast = fast_exec.run(img);
-  const QInferenceResult r_plan = fast_exec.run_planned(img);
-  if (!logits_equal(r_ref.logits, r_fast.logits) ||
-      !logits_equal(r_ref.logits, r_plan.logits)) {
+  // Correctness gate: both paths bit-exact on this workload.
+  const QInferenceResult r_ref = exec.run(img);
+  const QInferenceResult r_plan = exec.run_planned(img);
+  if (!logits_equal(r_ref.logits, r_plan.logits)) {
     std::cerr << "bench_runtime: FATAL: execution paths disagree\n";
     return 1;
   }
-  std::cout << "bit-exactness check passed (ref == fast == planned)\n";
+  std::cout << "bit-exactness check passed (ref == planned)\n";
 
   const int iters = quick ? 10 : 100;
   const int ref_iters = quick ? 1 : 5;
-  const double ref_ns =
-      time_ns_per_run(ref_iters, [&] { ref_exec.run(img); });
-  const double fast_ns = time_ns_per_run(iters, [&] { fast_exec.run(img); });
-  const ExecutionPlan& plan = fast_exec.plan();
+  const double ref_ns = time_ns_per_run(ref_iters, [&] { exec.run(img); });
+  const ExecutionPlan& plan = exec.plan();
   const double plan_ns =
       time_ns_per_run(iters, [&] { plan.run_into(img.data()); });
 
@@ -205,9 +199,7 @@ int main(int argc, char** argv) {
             << ", hardware threads: " << ThreadPool::hardware_lanes()
             << "\n"
             << "reference: " << ref_ns / 1e6 << " ms/inference\n"
-            << "fast (seed): " << fast_ns / 1e6 << " ms/inference\n"
             << "planned:   " << plan_ns / 1e6 << " ms/inference\n"
-            << "speedup planned vs fast: " << fast_ns / plan_ns << "x\n"
             << "speedup planned vs reference: " << ref_ns / plan_ns << "x\n"
             << "activation arenas: " << arena_i8 << " B (i8 domain) vs "
             << arena_i32 << " B (all-INT32), "
@@ -229,14 +221,14 @@ int main(int argc, char** argv) {
               sweep.end());
   if (sweep.empty()) sweep.push_back(1);
 
-  const auto base_results = fast_exec.run_batch(batch_t, 1);
+  const auto base_results = exec.run_batch(batch_t, 1);
   const int reps = quick ? 1 : 3;
   std::vector<ThroughputPoint> sweep_pts;
   std::cout << "\nbatch throughput (batch=" << batch << "):\n";
   for (const int t : sweep) {
     // Exactness gate: every thread count must reproduce the 1-thread
     // logits bit-for-bit.
-    const auto results = fast_exec.run_batch(batch_t, t);
+    const auto results = exec.run_batch(batch_t, t);
     for (std::size_t n = 0; n < results.size(); ++n) {
       if (!logits_equal(results[n].logits, base_results[n].logits)) {
         std::cerr << "bench_runtime: FATAL: run_batch at " << t
@@ -248,7 +240,7 @@ int main(int argc, char** argv) {
     double best_ns = 0.0;
     for (int r = 0; r < reps; ++r) {
       const auto t0 = std::chrono::steady_clock::now();
-      fast_exec.run_batch(batch_t, t);
+      exec.run_batch(batch_t, t);
       const auto t1 = std::chrono::steady_clock::now();
       const double ns = static_cast<double>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
@@ -300,9 +292,7 @@ int main(int argc, char** argv) {
      << "  \"total_macs\": " << prof.total_macs << ",\n"
      << "  \"end_to_end\": {\n"
      << "    \"reference_ns\": " << ref_ns << ",\n"
-     << "    \"fast_ns\": " << fast_ns << ",\n"
      << "    \"planned_ns\": " << plan_ns << ",\n"
-     << "    \"speedup_planned_vs_fast\": " << fast_ns / plan_ns << ",\n"
      << "    \"speedup_planned_vs_reference\": " << ref_ns / plan_ns << ",\n"
      << "    \"planned_macs_per_ns\": " << prof.total_macs_per_ns() << "\n"
      << "  },\n"

@@ -225,7 +225,7 @@ int main(int argc, char** argv) {
   }
 
   // Serial planned reference for the bit-exactness gate.
-  Executor exec(net, /*fast=*/true);
+  Executor exec(net);
   const Shape& in_shape = net.layers.front().in_shape;
   std::vector<QInferenceResult> expected(inputs.size());
   for (std::size_t i = 0; i < inputs.size(); ++i) {

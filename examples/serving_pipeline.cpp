@@ -81,7 +81,7 @@ int main() {
 
   // 5. The contract that makes the daemon trustworthy: served responses
   // are byte-identical to a direct planned-engine run.
-  runtime::Executor exec(loaded, /*fast=*/true);
+  runtime::Executor exec(loaded);
   std::istringstream served(out.str());
   std::string line;
   for (int i = 0; i < 4; ++i) {

@@ -8,31 +8,55 @@
 
 namespace mixq::runtime {
 
-namespace {
-
-/// Quantize `n` floats starting at `sample` into freshly packed codes --
-/// the strided-view entry shared by run() and run_batch().
-PackedBuffer quantize_sample(const float* sample, std::int64_t n,
-                             const core::QuantParams& qp) {
-  const std::vector<std::int32_t> codes =
-      core::quantize_buffer(sample, n, qp, core::RoundMode::kNearest);
+PackedBuffer quantize_input(const FloatTensor& image,
+                            const core::QuantParams& qp) {
+  const std::int64_t n = image.numel();
+  const std::vector<std::int32_t> codes = core::quantize_buffer(
+      image.data(), n, qp, core::RoundMode::kNearest);
   PackedBuffer buf(n, qp.q);
   pack_range(buf, 0, n, codes.data());
   return buf;
-}
-
-}  // namespace
-
-PackedBuffer quantize_input(const FloatTensor& image,
-                            const core::QuantParams& qp) {
-  return quantize_sample(image.data(), image.numel(), qp);
 }
 
 QInferenceResult Executor::run(const FloatTensor& image) const {
   if (image.shape().n != 1) {
     throw std::invalid_argument("Executor::run: batch must be 1");
   }
-  return run_codes(quantize_input(image, net_->input_qp));
+  PackedBuffer cur = quantize_input(image, net_->input_qp);
+  QInferenceResult res;
+  for (std::size_t i = 0; i < net_->layers.size(); ++i) {
+    const QLayer& l = net_->layers[i];
+    if (l.weights_deferred()) {
+      // The reference kernels random-access packed codes; an entropy-coded
+      // (deferred) bank has none. The planned engine decodes such banks
+      // natively -- for the reference path the caller must materialize.
+      throw std::logic_error(
+          "Executor: reference path needs materialized weights "
+          "(call QLayer::materialize_weights or use the planned engine)");
+    }
+    if (l.raw_logits) {
+      if (i + 1 != net_->layers.size()) {
+        throw std::logic_error("Executor: head layer must be last");
+      }
+      res.logits = run_head(l, cur);
+      break;
+    }
+    PackedBuffer next(l.out_shape.numel(), l.qy);
+    run_layer(l, cur, next);
+    cur = std::move(next);
+  }
+  if (res.logits.empty()) {
+    // Network without a raw head: return the last codes as logits.
+    res.logits.resize(static_cast<std::size_t>(cur.numel()));
+    for (std::int64_t i = 0; i < cur.numel(); ++i) {
+      res.logits[static_cast<std::size_t>(i)] =
+          static_cast<float>(cur.get(i));
+    }
+  }
+  res.predicted = static_cast<std::int32_t>(
+      std::max_element(res.logits.begin(), res.logits.end()) -
+      res.logits.begin());
+  return res;
 }
 
 const ExecutionPlan& Executor::plan() const {
@@ -58,48 +82,6 @@ QInferenceResult Executor::run_planned(const FloatTensor& image) const {
   return plan().run(image);
 }
 
-QInferenceResult Executor::run_codes(PackedBuffer cur) const {
-  QInferenceResult res;
-  for (std::size_t i = 0; i < net_->layers.size(); ++i) {
-    const QLayer& l = net_->layers[i];
-    if (!fast_ && l.weights_deferred()) {
-      // The reference kernels random-access packed codes; an entropy-coded
-      // (deferred) bank has none. The planned engine decodes such banks
-      // natively -- for the reference path the caller must materialize.
-      throw std::logic_error(
-          "Executor: reference path needs materialized weights "
-          "(call QLayer::materialize_weights or use the planned engine)");
-    }
-    if (l.raw_logits) {
-      if (i + 1 != net_->layers.size()) {
-        throw std::logic_error("Executor: head layer must be last");
-      }
-      res.logits = fast_ ? run_head_fast(l, cur, scratch_)
-                         : run_head(l, cur);
-      break;
-    }
-    PackedBuffer next(l.out_shape.numel(), l.qy);
-    if (fast_) {
-      run_layer_fast(l, cur, next, scratch_);
-    } else {
-      run_layer(l, cur, next);
-    }
-    cur = std::move(next);
-  }
-  if (res.logits.empty()) {
-    // Network without a raw head: return the last codes as logits.
-    res.logits.resize(static_cast<std::size_t>(cur.numel()));
-    for (std::int64_t i = 0; i < cur.numel(); ++i) {
-      res.logits[static_cast<std::size_t>(i)] =
-          static_cast<float>(cur.get(i));
-    }
-  }
-  res.predicted = static_cast<std::int32_t>(
-      std::max_element(res.logits.begin(), res.logits.end()) -
-      res.logits.begin());
-  return res;
-}
-
 std::vector<QInferenceResult> Executor::run_batch(const FloatTensor& images,
                                                   int threads) const {
   const Shape s = images.shape();
@@ -114,35 +96,26 @@ std::vector<QInferenceResult> Executor::run_batch(const FloatTensor& images,
   const std::int64_t per = s.h * s.w * s.c;
   const int lanes = static_cast<int>(std::min<std::int64_t>(
       threads <= 0 ? ThreadPool::hardware_lanes() : threads, s.n));
+  // One compiled plan shared by every sample: weights stay unpacked, the
+  // arenas are reused, and each image is quantized straight from its
+  // strided view of the batch tensor.
+  const ExecutionPlan& p = plan();
 
   if (lanes > 1) {
-    // Batch serving path: the plan is compiled once (thread-safe) and
-    // shared read-only; each worker lane runs its contiguous slice of the
-    // batch through its own cached PlanArenas (or, for reference
-    // executors, through independent run_codes walks). Static
+    // Each worker lane runs its contiguous slice of the batch through its
+    // own cached PlanArenas over the shared read-only plan. Static
     // partitioning + per-lane state make the results bit-identical to the
     // serial path.
-    const ExecutionPlan* p = fast_ ? &plan() : nullptr;
-    if (fast_) {
-      while (lane_arenas_.size() < static_cast<std::size_t>(lanes)) {
-        lane_arenas_.push_back(std::make_unique<PlanArenas>(*p));
-      }
+    while (lane_arenas_.size() < static_cast<std::size_t>(lanes)) {
+      lane_arenas_.push_back(std::make_unique<PlanArenas>(p));
     }
     std::vector<QInferenceResult> out(static_cast<std::size_t>(s.n));
     pool(lanes).parallel_for_lanes(
         lanes, s.n, [&](int lane, std::int64_t b, std::int64_t e) {
-          if (fast_) {
-            PlanArenas& arenas =
-                *lane_arenas_[static_cast<std::size_t>(lane)];
-            for (std::int64_t n = b; n < e; ++n) {
-              out[static_cast<std::size_t>(n)] =
-                  p->run_sample(images.data() + n * per, arenas);
-            }
-          } else {
-            for (std::int64_t n = b; n < e; ++n) {
-              out[static_cast<std::size_t>(n)] = run_codes(quantize_sample(
-                  images.data() + n * per, per, net_->input_qp));
-            }
+          PlanArenas& arenas = *lane_arenas_[static_cast<std::size_t>(lane)];
+          for (std::int64_t n = b; n < e; ++n) {
+            out[static_cast<std::size_t>(n)] =
+                p.run_sample(images.data() + n * per, arenas);
           }
         });
     return out;
@@ -150,19 +123,8 @@ std::vector<QInferenceResult> Executor::run_batch(const FloatTensor& images,
 
   std::vector<QInferenceResult> out;
   out.reserve(static_cast<std::size_t>(s.n));
-  if (fast_) {
-    // One compiled plan shared by every sample: weights stay unpacked, the
-    // arena is reused, and each image is quantized straight from its
-    // strided view of the batch tensor.
-    const ExecutionPlan& p = plan();
-    for (std::int64_t n = 0; n < s.n; ++n) {
-      out.push_back(p.run_sample(images.data() + n * per));
-    }
-    return out;
-  }
   for (std::int64_t n = 0; n < s.n; ++n) {
-    out.push_back(run_codes(
-        quantize_sample(images.data() + n * per, per, net_->input_qp)));
+    out.push_back(p.run_sample(images.data() + n * per));
   }
   return out;
 }

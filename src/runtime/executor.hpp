@@ -4,14 +4,18 @@
 // inter-layer activations live in two packed "ping-pong" buffers whose peak
 // combined size is exactly the Eq. 7 quantity the RW budget constrains.
 //
-// Three execution paths, all bit-exact equals:
-//   * reference  -- packed get/set reference kernels (kernels.hpp);
-//   * fast       -- per-layer unpacked-scratch kernels (fast_kernels.hpp);
-//   * planned    -- the compiled ExecutionPlan (plan.hpp): weights unpacked
+// Two execution paths, bit-exact equals:
+//   * reference  -- run(): the packed get/set reference kernels
+//                   (kernels.hpp), the oracle every optimisation is checked
+//                   against;
+//   * planned    -- run_planned(), run_batch(), logits_batch(): the
+//                   compiled ExecutionPlan (plan.hpp): weights unpacked
 //                   once, ping-pong arena, im2col GEMM + SIMD kernels, zero
 //                   steady-state allocations. Built lazily on first use.
 //
 // Thread-safety contract:
+//   * run() reads only the network, so any number of threads may call it
+//     concurrently.
 //   * plan() is safe to call from any number of threads concurrently; the
 //     lazy compilation happens exactly once (std::call_once) and every
 //     caller observes the fully built plan.
@@ -19,10 +23,10 @@
 //     across a fixed-size ThreadPool; each worker lane runs the shared
 //     read-only plan through its own PlanArenas, so results are
 //     bit-identical to the serial path for every thread count.
-//   * run(), run_planned() and run_batch() itself use per-executor
-//     mutable scratch (and one cached pool), so they are NOT safe to call
-//     concurrently on one Executor instance -- parallelism lives *inside*
-//     run_batch, not across calls.
+//   * run_planned() and run_batch() use the plan's shared arenas (and one
+//     cached pool), so they are NOT safe to call concurrently on one
+//     Executor instance -- parallelism lives *inside* run_batch, not
+//     across calls.
 //   * The serving daemon (serve/server.hpp) follows the same discipline:
 //     one batch worker drives serve::ModelRegistry::infer_batch, which
 //     partitions each micro-batch across pool lanes with one PlanArenas
@@ -35,7 +39,6 @@
 #include <mutex>
 #include <vector>
 
-#include "runtime/fast_kernels.hpp"
 #include "runtime/kernels.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/plan.hpp"
@@ -45,13 +48,12 @@ namespace mixq::runtime {
 
 class Executor {
  public:
-  /// `fast` selects the unpacked-scratch kernel path (fast_kernels.hpp)
-  /// for run(); a fast executor's run_batch() uses the planned engine
-  /// (a non-fast one keeps the reference kernels throughout).
-  explicit Executor(const QuantizedNet& net, bool fast = false)
-      : net_(&net), fast_(fast) {}
+  explicit Executor(const QuantizedNet& net) : net_(&net) {}
 
-  /// Run one batch-1 float image through the network.
+  /// Run one batch-1 float image through the reference kernels. Throws
+  /// std::logic_error on a deferred (entropy-coded) weight bank: the
+  /// reference kernels need materialized codes
+  /// (QLayer::materialize_weights), the planned engine does not.
   QInferenceResult run(const FloatTensor& image) const;
 
   /// Run one batch-1 float image through the planned engine (compiled on
@@ -73,9 +75,9 @@ class Executor {
     return net_->layers.front().in_shape;
   }
 
-  /// Run a batch (N >= 1) image-by-image, returning one result per image.
-  /// Samples are quantized straight from a strided view of `images`; fast
-  /// executors route every sample through the shared ExecutionPlan.
+  /// Run a batch (N >= 1) image-by-image through the planned engine,
+  /// returning one result per image. Samples are quantized straight from a
+  /// strided view of `images`.
   ///
   /// `threads` != 1 partitions the samples contiguously across a
   /// fixed-size thread pool (0 = hardware concurrency; capped at the batch
@@ -88,24 +90,17 @@ class Executor {
   /// comparing against the fake-quantized training graph.
   FloatTensor logits_batch(const FloatTensor& images) const;
 
-  /// Class indices of the k largest logits for one batch-1 image,
-  /// descending (top-k classification, k <= number of classes).
+  /// Class indices of the k largest logits of run(image), descending
+  /// (top-k classification, k <= number of classes).
   std::vector<std::int32_t> top_k(const FloatTensor& image, int k) const;
 
  private:
-  /// Layer walk over already-quantized packed codes, selecting reference
-  /// or fast kernels from the fast_ member. The reference path never
-  /// touches scratch_, so it is safe from worker threads.
-  QInferenceResult run_codes(PackedBuffer cur) const;
-
   /// The cached pool (grow-only: rebuilt under pool_mu_ only when more
   /// lanes are requested than it has; narrower jobs dispatch over a
   /// subset of its lanes).
   ThreadPool& pool(int lanes) const;
 
   const QuantizedNet* net_;
-  bool fast_;
-  mutable Scratch scratch_;
   mutable std::once_flag plan_once_;
   mutable std::unique_ptr<ExecutionPlan> plan_;
   mutable std::mutex pool_mu_;

@@ -119,8 +119,8 @@ struct QLayer {
   void weight_codes_to_i32(std::int32_t* out) const;
 
   /// Decode a deferred entropy section into an owning PackedBuffer (and
-  /// drop the section), so the reference/fast executors can random-access
-  /// the codes. No-op when weights are already materialized.
+  /// drop the section), so the reference kernels (Executor::run) can
+  /// random-access the codes. No-op when weights are already materialized.
   void materialize_weights();
 };
 

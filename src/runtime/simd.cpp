@@ -13,14 +13,8 @@ bool cpu_supports_compiled_isa() {
 #else
   return true;
 #endif
-#elif defined(MIXQ_SIMD_SSE4)
-#if defined(__GNUC__) || defined(__clang__)
-  return __builtin_cpu_supports("sse4.1") != 0;
 #else
-  return true;
-#endif
-#else
-  // NEON builds target a baseline that implies support; scalar needs none.
+  // Scalar builds need no capability.
   return true;
 #endif
 }

@@ -1,16 +1,15 @@
 // mixq/runtime/simd.hpp
 //
-// Portable SIMD dispatch layer for the planned execution engine's hot
-// loops. One ISA is selected at *compile time* from the compiler's target
-// flags (AVX2 > SSE4.1 on x86, NEON on AArch64, scalar otherwise) and a
-// cached *runtime* capability check (`enabled()`) routes each kernel to
-// its scalar body when the CPU lacks the compiled ISA. The runtime check
-// is defense in depth, not a portability guarantee: when the whole binary
-// is compiled with -march=x86-64-v3 (MIXQ_ENABLE_NATIVE) the compiler may
-// emit AVX2 anywhere, including the fallback loops, so binaries must still
-// run on hardware that supports their compile target. The check is load-
-// bearing only for toolchains/targets where the intrinsics are available
-// without the baseline including them.
+// SIMD dispatch layer for the planned execution engine's hot loops. The
+// ISA is selected at *compile time* from the compiler's target flags:
+// AVX2 when the build targets it (-march=x86-64-v3, MIXQ_ENABLE_NATIVE),
+// scalar otherwise -- exactly the tiers CI builds and runs (the AVX-512
+// VNNI tier lives in simd_vnni.hpp). A cached *runtime* capability check
+// (`enabled()`) routes each kernel to its scalar body when the CPU lacks
+// AVX2. The runtime check is defense in depth, not a portability
+// guarantee: when the whole binary is compiled with -march=x86-64-v3 the
+// compiler may emit AVX2 anywhere, including the fallback loops, so
+// binaries must still run on hardware that supports their compile target.
 //
 // Bit-exactness contract: each kernel computes exactly the same integers as
 // its scalar reference. All integer kernels here are only used on values
@@ -32,12 +31,6 @@
 #if defined(__AVX2__)
 #include <immintrin.h>
 #define MIXQ_SIMD_AVX2 1
-#elif defined(__SSE4_1__)
-#include <smmintrin.h>
-#define MIXQ_SIMD_SSE4 1
-#elif defined(__ARM_NEON) && defined(__aarch64__)
-#include <arm_neon.h>
-#define MIXQ_SIMD_NEON 1
 #endif
 
 namespace mixq::runtime::simd {
@@ -46,10 +39,6 @@ namespace mixq::runtime::simd {
 constexpr const char* compiled_isa() {
 #if defined(MIXQ_SIMD_AVX2)
   return "avx2";
-#elif defined(MIXQ_SIMD_SSE4)
-  return "sse4.1";
-#elif defined(MIXQ_SIMD_NEON)
-  return "neon";
 #else
   return "scalar";
 #endif
@@ -57,8 +46,8 @@ constexpr const char* compiled_isa() {
 
 /// Whether the CPU executing this binary supports the compiled ISA.
 /// Best-effort (see the file comment: globally targeted builds can emit
-/// vector instructions outside these kernels). NEON/scalar builds always
-/// return true.
+/// vector instructions outside these kernels). Scalar builds always return
+/// true.
 bool cpu_supports_compiled_isa();
 
 /// Cached runtime switch every kernel branches on; the branch is perfectly
@@ -96,34 +85,6 @@ inline void mac_i32(std::int32_t* __restrict__ acc,
     for (; i < n; ++i) acc[i] += x[i] * w[i];
     return;
   }
-#elif defined(MIXQ_SIMD_SSE4)
-  if (enabled()) {
-    std::int64_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m128i xv =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i));
-      const __m128i wv =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + i));
-      __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + i));
-      a = _mm_add_epi32(a, _mm_mullo_epi32(xv, wv));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + i), a);
-    }
-    for (; i < n; ++i) acc[i] += x[i] * w[i];
-    return;
-  }
-#elif defined(MIXQ_SIMD_NEON)
-  {
-    std::int64_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const int32x4_t xv = vld1q_s32(x + i);
-      const int32x4_t wv = vld1q_s32(w + i);
-      int32x4_t a = vld1q_s32(acc + i);
-      a = vmlaq_s32(a, xv, wv);
-      vst1q_s32(acc + i, a);
-    }
-    for (; i < n; ++i) acc[i] += x[i] * w[i];
-    return;
-  }
 #endif
   for (std::int64_t i = 0; i < n; ++i) acc[i] += x[i] * w[i];
 }
@@ -141,28 +102,6 @@ inline void add_i32(std::int32_t* __restrict__ acc,
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i),
                           _mm256_add_epi32(a, xv));
-    }
-    for (; i < n; ++i) acc[i] += x[i];
-    return;
-  }
-#elif defined(MIXQ_SIMD_SSE4)
-  if (enabled()) {
-    std::int64_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m128i xv =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i));
-      __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + i));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + i),
-                       _mm_add_epi32(a, xv));
-    }
-    for (; i < n; ++i) acc[i] += x[i];
-    return;
-  }
-#elif defined(MIXQ_SIMD_NEON)
-  {
-    std::int64_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      vst1q_s32(acc + i, vaddq_s32(vld1q_s32(acc + i), vld1q_s32(x + i)));
     }
     for (; i < n; ++i) acc[i] += x[i];
     return;
@@ -193,49 +132,6 @@ inline void dw_dot_i32(const std::int32_t* __restrict__ x,
         a = _mm256_add_epi32(a, _mm256_mullo_epi32(xv, wv));
       }
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + c), a);
-    }
-    for (; c < C; ++c) {
-      std::int32_t s = 0;
-      for (std::int64_t t = 0; t < taps; ++t) {
-        s += x[toff[t] + c] * wt[t * C + c];
-      }
-      acc[c] = s;
-    }
-    return;
-  }
-#elif defined(MIXQ_SIMD_SSE4)
-  if (enabled()) {
-    std::int64_t c = 0;
-    for (; c + 4 <= C; c += 4) {
-      __m128i a = _mm_setzero_si128();
-      for (std::int64_t t = 0; t < taps; ++t) {
-        const __m128i xv =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + toff[t] + c));
-        const __m128i wv = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(wt + t * C + c));
-        a = _mm_add_epi32(a, _mm_mullo_epi32(xv, wv));
-      }
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + c), a);
-    }
-    for (; c < C; ++c) {
-      std::int32_t s = 0;
-      for (std::int64_t t = 0; t < taps; ++t) {
-        s += x[toff[t] + c] * wt[t * C + c];
-      }
-      acc[c] = s;
-    }
-    return;
-  }
-#elif defined(MIXQ_SIMD_NEON)
-  {
-    std::int64_t c = 0;
-    for (; c + 4 <= C; c += 4) {
-      int32x4_t a = vdupq_n_s32(0);
-      for (std::int64_t t = 0; t < taps; ++t) {
-        a = vmlaq_s32(a, vld1q_s32(x + toff[t] + c),
-                      vld1q_s32(wt + t * C + c));
-      }
-      vst1q_s32(acc + c, a);
     }
     for (; c < C; ++c) {
       std::int32_t s = 0;
@@ -522,46 +418,6 @@ inline void requant_icn(const RequantTable& rq,
       }
     }
   }
-#elif defined(MIXQ_SIMD_SSE4)
-  if (enabled()) {
-    // Partial vectorization: v = acc + add runs 4-wide; the per-channel
-    // variable 64-bit shift has no SSE4.1 form, so the multiply/shift/
-    // clamp chain stays scalar (still bit-exact by construction).
-    for (; c + 4 <= n; c += 4) {
-      const __m128i ad32 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(add + c));
-      for (std::int64_t q = 0; q < npix; ++q) {
-        alignas(16) std::int32_t v[4];
-        _mm_store_si128(reinterpret_cast<__m128i*>(v),
-                        _mm_add_epi32(_mm_loadu_si128(
-                                          reinterpret_cast<const __m128i*>(
-                                              acc + q * acc_stride + c)),
-                                      ad32));
-        for (int j = 0; j < 4; ++j) one(q, c + j, v[j]);
-      }
-    }
-  }
-#elif defined(MIXQ_SIMD_NEON)
-  {
-    // Two channels per iteration: vshlq_s64 with a negative count is an
-    // exact arithmetic right shift (floor), so no bias trick is needed.
-    const int64x2_t zyv = vdupq_n_s64(rq.zy);
-    const int64x2_t hiv = vdupq_n_s64(rq.hi);
-    const int64x2_t zero = vdupq_n_s64(0);
-    for (; c + 2 <= n; c += 2) {
-      const int32x2_t ad = vld1_s32(add + c);
-      const int32x2_t m032 = vmovn_s64(vld1q_s64(rq.m0.data() + c0 + c));
-      const int64x2_t sh = vnegq_s64(vld1q_s64(rq.shift.data() + c0 + c));
-      for (std::int64_t q = 0; q < npix; ++q) {
-        const int32x2_t v32 = vadd_s32(vld1_s32(acc + q * acc_stride + c), ad);
-        int64x2_t y = vaddq_s64(vshlq_s64(vmull_s32(v32, m032), sh), zyv);
-        y = vbslq_s64(vcltq_s64(y, zero), zero, y);
-        y = vbslq_s64(vcgtq_s64(y, hiv), hiv, y);
-        out[q * out_stride + c] = static_cast<OutT>(vgetq_lane_s64(y, 0));
-        out[q * out_stride + c + 1] = static_cast<OutT>(vgetq_lane_s64(y, 1));
-      }
-    }
-  }
 #endif
   for (; c < n; ++c) {
     for (std::int64_t q = 0; q < npix; ++q) {
@@ -607,8 +463,8 @@ inline std::int64_t round_up(std::int64_t v, std::int64_t m) {
 // ---------------------------------------------------------------------------
 
 /// Output channels interleaved per panel block: 8 i32 lanes on AVX2, 4 on
-/// every 128-bit (or scalar) configuration. Compile-time constant so the
-/// pack layout and the kernels always agree within one binary.
+/// scalar builds. Compile-time constant so the pack layout and the kernels
+/// always agree within one binary.
 constexpr std::int64_t gemm_u8s8_ocb() {
 #if defined(MIXQ_SIMD_AVX2)
   return 8;
@@ -675,46 +531,6 @@ inline void gemm_u8s8_x1(const std::uint8_t* __restrict__ a,
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc), av_acc);
     return;
   }
-#elif defined(MIXQ_SIMD_SSE4)
-  if (enabled()) {
-    const __m128i ones = _mm_set1_epi16(1);
-    __m128i av_acc =
-        accumulate ? _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc))
-                   : _mm_setzero_si128();
-    for (std::int64_t k = 0; k < kp; k += 4) {
-      const __m128i wv =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + k * 4));
-      std::uint32_t u;
-      std::memcpy(&u, a + k, 4);
-      const __m128i av = _mm_set1_epi32(static_cast<int>(u));
-      av_acc = _mm_add_epi32(
-          av_acc, _mm_madd_epi16(_mm_maddubs_epi16(av, wv), ones));
-    }
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc), av_acc);
-    return;
-  }
-#elif defined(MIXQ_SIMD_NEON)
-  {
-    int32x4_t av_acc = accumulate ? vld1q_s32(acc) : vdupq_n_s32(0);
-    for (std::int64_t k = 0; k < kp; k += 4) {
-      const int8x16_t wv = vld1q_s8(block + k * 4);
-      const int16x8_t w01 = vmovl_s8(vget_low_s8(wv));
-      const int16x8_t w23 = vmovl_s8(vget_high_s8(wv));
-      std::uint32_t u;
-      std::memcpy(&u, a + k, 4);
-      const uint8x8_t ab = vreinterpret_u8_u32(vdup_n_u32(u));
-      const int16x4_t al =
-          vget_low_s16(vreinterpretq_s16_u16(vmovl_u8(ab)));
-      const int32x4_t p0 = vmull_s16(vget_low_s16(w01), al);
-      const int32x4_t p1 = vmull_s16(vget_high_s16(w01), al);
-      const int32x4_t p2 = vmull_s16(vget_low_s16(w23), al);
-      const int32x4_t p3 = vmull_s16(vget_high_s16(w23), al);
-      av_acc = vaddq_s32(
-          av_acc, vpaddq_s32(vpaddq_s32(p0, p1), vpaddq_s32(p2, p3)));
-    }
-    vst1q_s32(acc, av_acc);
-    return;
-  }
 #endif
   const std::int64_t ocb = gemm_u8s8_ocb();
   for (std::int64_t j = 0; j < ocb; ++j) {
@@ -759,34 +575,6 @@ inline void gemm_u8s8_x2(const std::uint8_t* __restrict__ a0,
     }
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc0), v0);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc1), v1);
-    return;
-  }
-#elif defined(MIXQ_SIMD_SSE4)
-  if (enabled()) {
-    const __m128i ones = _mm_set1_epi16(1);
-    __m128i v0 =
-        accumulate ? _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc0))
-                   : _mm_setzero_si128();
-    __m128i v1 =
-        accumulate ? _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc1))
-                   : _mm_setzero_si128();
-    for (std::int64_t k = 0; k < kp; k += 4) {
-      const __m128i wv =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + k * 4));
-      std::uint32_t u0, u1;
-      std::memcpy(&u0, a0 + k, 4);
-      std::memcpy(&u1, a1 + k, 4);
-      v0 = _mm_add_epi32(
-          v0, _mm_madd_epi16(
-                  _mm_maddubs_epi16(_mm_set1_epi32(static_cast<int>(u0)), wv),
-                  ones));
-      v1 = _mm_add_epi32(
-          v1, _mm_madd_epi16(
-                  _mm_maddubs_epi16(_mm_set1_epi32(static_cast<int>(u1)), wv),
-                  ones));
-    }
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc0), v0);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc1), v1);
     return;
   }
 #endif
@@ -1096,37 +884,6 @@ inline void add_u8_i32(std::int32_t* __restrict__ acc,
     for (; i < n; ++i) acc[i] += x[i];
     return;
   }
-#elif defined(MIXQ_SIMD_SSE4)
-  if (enabled()) {
-    std::int64_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      std::uint32_t u;
-      std::memcpy(&u, x + i, 4);
-      const __m128i xv = _mm_cvtepu8_epi32(
-          _mm_cvtsi32_si128(static_cast<int>(u)));
-      const __m128i a =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + i));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + i),
-                       _mm_add_epi32(a, xv));
-    }
-    for (; i < n; ++i) acc[i] += x[i];
-    return;
-  }
-#elif defined(MIXQ_SIMD_NEON)
-  {
-    std::int64_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-      const uint16x8_t xv = vmovl_u8(vld1_u8(x + i));
-      int32x4_t lo = vld1q_s32(acc + i);
-      int32x4_t hi = vld1q_s32(acc + i + 4);
-      lo = vaddq_s32(lo, vreinterpretq_s32_u32(vmovl_u16(vget_low_u16(xv))));
-      hi = vaddq_s32(hi, vreinterpretq_s32_u32(vmovl_u16(vget_high_u16(xv))));
-      vst1q_s32(acc + i, lo);
-      vst1q_s32(acc + i + 4, hi);
-    }
-    for (; i < n; ++i) acc[i] += x[i];
-    return;
-  }
 #endif
   for (std::int64_t i = 0; i < n; ++i) acc[i] += x[i];
 }
@@ -1152,41 +909,6 @@ inline std::int32_t dot_u8_i32(const std::uint8_t* __restrict__ a,
                                      _mm256_extracti128_si256(acc, 1));
     const __m128i h = _mm_hadd_epi32(lo, lo);
     std::int32_t s = _mm_cvtsi128_si32(_mm_hadd_epi32(h, h));
-    for (; k < n; ++k) s += static_cast<std::int32_t>(a[k]) * w[k];
-    return s;
-  }
-#elif defined(MIXQ_SIMD_SSE4)
-  if (enabled()) {
-    __m128i acc = _mm_setzero_si128();
-    std::int64_t k = 0;
-    for (; k + 4 <= n; k += 4) {
-      std::uint32_t u;
-      std::memcpy(&u, a + k, 4);
-      const __m128i av = _mm_cvtepu8_epi32(
-          _mm_cvtsi32_si128(static_cast<int>(u)));
-      const __m128i wv =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + k));
-      acc = _mm_add_epi32(acc, _mm_mullo_epi32(av, wv));
-    }
-    const __m128i h = _mm_hadd_epi32(acc, acc);
-    std::int32_t s = _mm_cvtsi128_si32(_mm_hadd_epi32(h, h));
-    for (; k < n; ++k) s += static_cast<std::int32_t>(a[k]) * w[k];
-    return s;
-  }
-#elif defined(MIXQ_SIMD_NEON)
-  {
-    int32x4_t acc = vdupq_n_s32(0);
-    std::int64_t k = 0;
-    for (; k + 4 <= n; k += 4) {
-      // 4-byte load sized to the loop guarantee (no tail over-read).
-      std::uint32_t u;
-      std::memcpy(&u, a + k, 4);
-      const uint8x8_t ab = vreinterpret_u8_u32(vdup_n_u32(u));
-      const int32x4_t av = vreinterpretq_s32_u32(
-          vmovl_u16(vget_low_u16(vmovl_u8(ab))));
-      acc = vmlaq_s32(acc, av, vld1q_s32(w + k));
-    }
-    std::int32_t s = vaddvq_s32(acc);
     for (; k < n; ++k) s += static_cast<std::int32_t>(a[k]) * w[k];
     return s;
   }

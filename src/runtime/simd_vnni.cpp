@@ -267,15 +267,23 @@ template <bool Full>
              : _mm256_maskz_loadu_epi32(m, a);
     // v = acc + add fits int32 by the plan's usability proof; vpmuldq
     // reads the (sign-extended) low dwords, so the product is the exact
-    // 64-bit v * m0 (0 <= m0 < 2^31).
-    const __m512i v = _mm512_cvtepi32_epi64(_mm256_add_epi32(a32, ad32));
+    // 64-bit v * m0 (0 <= m0 < 2^31). The full-mask maskz forms compile to
+    // the unmasked instructions (GCC folds the all-ones mask) but, unlike
+    // the unmasked intrinsics, pass no undefined source vector, which
+    // GCC 12 reports as -Wmaybe-uninitialized.
+    const __m512i v =
+        _mm512_maskz_cvtepi32_epi64(0xFF, _mm256_add_epi32(a32, ad32));
     __m512i y = _mm512_add_epi64(
-        _mm512_srav_epi64(_mm512_mul_epi32(v, m0v), sh), zyv);
-    y = _mm512_min_epi64(_mm512_max_epi64(y, _mm512_setzero_si512()), hiv);
+        _mm512_maskz_srav_epi64(0xFF, _mm512_maskz_mul_epi32(0xFF, v, m0v),
+                                sh),
+        zyv);
+    y = _mm512_maskz_min_epi64(
+        0xFF, _mm512_maskz_max_epi64(0xFF, y, _mm512_setzero_si512()), hiv);
     // Codes are in [0, hi] <= 255: vpmovqb's truncation never loses bits.
     std::uint8_t* o = out + q * out_stride;
     if (Full) {
-      _mm_storel_epi64(reinterpret_cast<__m128i*>(o), _mm512_cvtepi64_epi8(y));
+      _mm_storel_epi64(reinterpret_cast<__m128i*>(o),
+                       _mm512_maskz_cvtepi64_epi8(0xFF, y));
     } else {
       _mm512_mask_cvtepi64_storeu_epi8(o, m, y);
     }

@@ -212,9 +212,8 @@ struct RawWriter {
 
 std::vector<std::uint8_t> wrap_payload(const std::vector<std::uint8_t>& p,
                                        std::uint32_t version = 1) {
-  std::vector<std::uint8_t> blob;
   const char magic[8] = {'M', 'I', 'X', 'Q', 'I', 'M', 'G', '1'};
-  blob.insert(blob.end(), magic, magic + 8);
+  std::vector<std::uint8_t> blob(magic, magic + 8);
   RawWriter h;
   h.put<std::uint32_t>(version);
   h.put<std::uint64_t>(p.size());
@@ -413,7 +412,7 @@ TEST(FlashImageV2, CompressedRoundTripIsBitExact) {
 
   // And the planned engine produces identical results from either image.
   const QuantizedNet raw_back = load_flash_image(raw_blob);
-  Executor a(raw_back, /*fast=*/true), b(back, /*fast=*/true);
+  Executor a(raw_back), b(back);
   Rng rng(4);
   FloatTensor imgs(Shape(4, 8, 8, 3));
   rng.fill_uniform(imgs.vec(), 0.0, 1.0);
@@ -474,7 +473,7 @@ TEST(FlashImageV2, MmapLoadMatchesStreamingLoad) {
   // The planned engine decodes deferred banks natively; results must be
   // identical to the streaming-loaded net.
   const QuantizedNet streamed = read_flash_image_file(path);
-  Executor a(streamed, /*fast=*/true), b(mapped, /*fast=*/true);
+  Executor a(streamed), b(mapped);
   Rng rng(5);
   FloatTensor img(Shape(1, 8, 8, 3));
   rng.fill_uniform(img.vec(), 0.0, 1.0);
@@ -484,7 +483,7 @@ TEST(FlashImageV2, MmapLoadMatchesStreamingLoad) {
   EXPECT_EQ(ra.logits, rb.logits);
 
   // The reference path refuses deferred banks...
-  Executor ref(mapped, /*fast=*/false);
+  Executor ref(mapped);
   EXPECT_THROW(ref.run(img), std::logic_error);
 
   // ...until they are materialized, after which it agrees bit for bit.

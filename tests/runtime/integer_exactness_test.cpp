@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "data/synthetic.hpp"
 #include "eval/trainer.hpp"
@@ -13,8 +14,6 @@
 #include "nn/loss.hpp"
 #include "runtime/convert.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/fast_kernels.hpp"
-#include "runtime/kernels.hpp"
 #include "support/random_qlayer.hpp"
 
 namespace mixq::runtime {
@@ -123,14 +122,13 @@ TEST(IcnExactness, IntegerAccuracyCloseToFakeQuantAccuracy) {
 }
 
 // ---------------------------------------------------------------------------
-// Randomized cross-checks: the fast kernel path (run_layer_fast /
-// run_head_fast) must be bit-exact with the reference kernels not just on
-// isolated layers (fast_kernels_test.cpp) but through whole randomized
-// depthwise-separable chains with *mixed* 2/4/8-bit widths per layer --
-// the deployment configuration the paper's memory-driven allocator emits.
+// Randomized cross-checks: the planned engine must be bit-exact with the
+// reference kernels through whole randomized depthwise-separable chains
+// with *mixed* 2/4/8-bit widths per layer -- the deployment configuration
+// the paper's memory-driven allocator emits -- checked after every layer,
+// and on random linear heads.
 // ---------------------------------------------------------------------------
 
-using test_support::fill_random_codes;
 using test_support::random_width;
 
 /// A random conv-family (or head) layer with the given geometry and
@@ -158,20 +156,48 @@ QLayer random_chain_layer(QLayerKind kind, Shape in_shape, std::int64_t co,
   return l;
 }
 
-class FastPathChainExactness : public ::testing::TestWithParam<int> {};
+/// A float image whose input quantization yields uniformly random codes.
+FloatTensor random_code_image(const Shape& shape, const core::QuantParams& qp,
+                              Rng& rng) {
+  FloatTensor img(shape);
+  for (std::int64_t i = 0; i < img.numel(); ++i) {
+    img.data()[i] =
+        static_cast<float>(rng.uniform_int(core::levels(qp.q))) * qp.scale;
+  }
+  return img;
+}
 
-TEST_P(FastPathChainExactness, MixedPrecisionChainBitExact) {
+/// Asserts ExecutionPlan output == reference Executor::run output.
+void expect_plan_matches_reference(const QuantizedNet& net,
+                                   const FloatTensor& img,
+                                   const std::string& label) {
+  net.validate();
+  const QInferenceResult ref = Executor(net).run(img);
+  const QInferenceResult planned = ExecutionPlan(net).run(img);
+  ASSERT_EQ(ref.logits.size(), planned.logits.size()) << label;
+  for (std::size_t i = 0; i < ref.logits.size(); ++i) {
+    // Bit-exact, not approximately equal: both paths must perform the
+    // identical integer accumulation and double dequantization.
+    ASSERT_EQ(ref.logits[i], planned.logits[i]) << label << " elem " << i;
+  }
+  EXPECT_EQ(ref.predicted, planned.predicted) << label;
+}
+
+class PlanLayerChainExactness : public ::testing::TestWithParam<int> {};
+
+TEST_P(PlanLayerChainExactness, MixedPrecisionChainBitExact) {
   // dw -> pw -> dw -> pw with independently random 2/4/8-bit weight and
-  // activation widths at every boundary, checked layer-by-layer.
+  // activation widths at every boundary. Every prefix of the chain runs as
+  // a head-less net, whose logits are its last layer's output codes, so
+  // each layer's output is checked.
   Rng rng(static_cast<std::uint64_t>(4200 + GetParam()));
   const Scheme schemes[] = {Scheme::kPLICN, Scheme::kPCICN,
                             Scheme::kPCThresholds};
-  Shape shape(2, 6, 6, 4);
+  Shape shape(1, 6, 6, 4);
   BitWidth qx = random_width(rng);
-  PackedBuffer ref_act(shape.numel(), qx);
-  fill_random_codes(ref_act, qx, rng);
-  PackedBuffer fast_act = ref_act;
-  Scratch scratch;
+  QuantizedNet net;
+  net.input_qp = core::make_quant_params(0.0f, 1.0f, qx);
+  const FloatTensor img = random_code_image(shape, net.input_qp, rng);
 
   const QLayerKind kinds[] = {QLayerKind::kDepthwise, QLayerKind::kConv,
                               QLayerKind::kDepthwise, QLayerKind::kConv};
@@ -184,32 +210,24 @@ TEST_P(FastPathChainExactness, MixedPrecisionChainBitExact) {
     const BitWidth qw = random_width(rng);
     const BitWidth qy = random_width(rng);
     const Scheme scheme = schemes[rng.uniform_int(3)];
-    const QLayer l =
-        random_chain_layer(kind, shape, co, qx, qw, qy, scheme, rng);
-
-    PackedBuffer ref_out(l.out_shape.numel(), qy);
-    PackedBuffer fast_out(l.out_shape.numel(), qy);
-    run_layer(l, ref_act, ref_out);
-    run_layer_fast(l, fast_act, fast_out, scratch);
-    for (std::int64_t i = 0; i < ref_out.numel(); ++i) {
-      ASSERT_EQ(ref_out.get(i), fast_out.get(i))
-          << "trial " << GetParam() << " layer " << li << " ("
-          << (kind == QLayerKind::kDepthwise ? "dw" : "pw") << ") qx="
-          << core::bits(qx) << " qw=" << core::bits(qw) << " qy="
-          << core::bits(qy) << " elem " << i;
-    }
-
-    shape = l.out_shape;
+    net.layers.push_back(
+        random_chain_layer(kind, shape, co, qx, qw, qy, scheme, rng));
+    expect_plan_matches_reference(
+        net, img,
+        "trial " + std::to_string(GetParam()) + " layer " +
+            std::to_string(li) +
+            (kind == QLayerKind::kDepthwise ? " (dw)" : " (pw)") +
+            " qx=" + std::to_string(core::bits(qx)) +
+            " qw=" + std::to_string(core::bits(qw)) +
+            " qy=" + std::to_string(core::bits(qy)));
+    shape = net.layers.back().out_shape;
     qx = qy;
-    ref_act = std::move(ref_out);
-    fast_act = std::move(fast_out);
   }
 }
 
-TEST_P(FastPathChainExactness, RandomHeadBitExact) {
-  // run_head_fast vs run_head over random mixed-width linear heads.
+TEST_P(PlanLayerChainExactness, RandomHeadBitExact) {
+  // Random mixed-width linear heads, each deployed as a one-layer net.
   Rng rng(static_cast<std::uint64_t>(9100 + GetParam()));
-  Scratch scratch;
   for (int trial = 0; trial < 6; ++trial) {
     const BitWidth qx = random_width(rng);
     const BitWidth qw = random_width(rng);
@@ -224,31 +242,26 @@ TEST_P(FastPathChainExactness, RandomHeadBitExact) {
     for (std::int64_t c = 0; c < classes; ++c) {
       head.out_mult.push_back(rng.uniform(1e-5, 0.02));
     }
-
-    PackedBuffer in(features, qx);
-    fill_random_codes(in, qx, rng);
-    const std::vector<float> ref = run_head(head, in);
-    const std::vector<float> fast = run_head_fast(head, in, scratch);
-    ASSERT_EQ(ref.size(), fast.size());
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      // Bit-exact, not approximately equal: both paths must perform the
-      // identical integer accumulation and double dequantization.
-      ASSERT_EQ(ref[i], fast[i])
-          << "trial " << trial << " qx=" << core::bits(qx) << " qw="
-          << core::bits(qw) << " logit " << i;
-    }
+    QuantizedNet net;
+    net.input_qp = core::make_quant_params(0.0f, 1.0f, qx);
+    net.layers.push_back(std::move(head));
+    expect_plan_matches_reference(
+        net, random_code_image(Shape(1, 1, 1, features), net.input_qp, rng),
+        "trial " + std::to_string(trial) + " qx=" +
+            std::to_string(core::bits(qx)) +
+            " qw=" + std::to_string(core::bits(qw)));
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomTrials, FastPathChainExactness,
+INSTANTIATE_TEST_SUITE_P(RandomTrials, PlanLayerChainExactness,
                          ::testing::Range(0, 6));
 
 // ---------------------------------------------------------------------------
 // Planned engine: the compiled ExecutionPlan (pre-unpacked weights,
 // ping-pong arena, im2col GEMM) must be bit-exact with the reference
 // executor through whole mixed-precision dw/pw chains ending in a head --
-// the same property the per-layer fast path asserts above, but across the
-// full amortized pipeline including input quantization and arena reuse.
+// the same property asserted per layer above, but through one executor
+// that reuses its plan and arenas across images.
 // ---------------------------------------------------------------------------
 
 class PlannedChainExactness : public ::testing::TestWithParam<int> {};

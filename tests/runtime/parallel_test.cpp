@@ -198,7 +198,7 @@ TEST(ThreadPool, WorkerExceptionPropagatesToCaller) {
 
 TEST(ExecutorThreading, ConcurrentPlanCallsYieldOnePlan) {
   const QuantizedNet net = serving_net(11);
-  Executor exec(net, /*fast=*/true);
+  Executor exec(net);
   std::vector<const ExecutionPlan*> seen(8, nullptr);
   std::vector<std::thread> threads;
   threads.reserve(8);
@@ -215,34 +215,37 @@ TEST(ExecutorThreading, ConcurrentPlanCallsYieldOnePlan) {
 
 TEST(ExecutorThreading, BatchIsBitExactAcrossThreadCounts) {
   const QuantizedNet net = serving_net(21);
-  Executor ref(net, /*fast=*/false);
-  Executor fast(net, /*fast=*/true);
+  Executor exec(net);
   const Shape& in = net.layers.front().in_shape;
   Rng rng(77);
   FloatTensor batch(Shape(9, in.h, in.w, in.c));
   rng.fill_uniform(batch.vec(), -0.2, 1.2);
 
-  const auto serial = fast.run_batch(batch, 1);
-  const auto reference = ref.run_batch(batch);
+  // Per-sample reference kernels (Executor::run) are the oracle.
+  std::vector<QInferenceResult> reference;
+  for (std::int64_t n = 0; n < batch.shape().n; ++n) {
+    FloatTensor img(in);
+    std::copy(batch.data() + n * in.numel(),
+              batch.data() + (n + 1) * in.numel(), img.data());
+    reference.push_back(exec.run(img));
+  }
+
+  const auto serial = exec.run_batch(batch, 1);
   expect_same_results(serial, reference, "serial vs reference");
   const int hw = ThreadPool::hardware_lanes();
   for (const int t : {2, 3, 4, hw}) {
     if (t < 2) continue;
-    expect_same_results(fast.run_batch(batch, t), serial,
+    expect_same_results(exec.run_batch(batch, t), serial,
                         "threads=" + std::to_string(t));
   }
   // threads=0 selects hardware concurrency; also exercises lane capping
   // when the batch is smaller than the lane count.
-  expect_same_results(fast.run_batch(batch, 0), serial, "threads=auto");
-
-  // The reference (non-fast) executor partitions too.
-  expect_same_results(ref.run_batch(batch, 2), reference,
-                      "reference threads=2");
+  expect_same_results(exec.run_batch(batch, 0), serial, "threads=auto");
 }
 
 TEST(ExecutorThreading, ThreadedBatchRejectsBadShapes) {
   const QuantizedNet net = serving_net(31);
-  Executor exec(net, /*fast=*/true);
+  Executor exec(net);
   FloatTensor bad(Shape(4, 3, 3, 1));
   EXPECT_THROW(exec.run_batch(bad, 4), std::invalid_argument);
 }

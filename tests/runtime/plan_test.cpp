@@ -701,25 +701,28 @@ TEST(PlanArena, NarrowDomainShrinksArenaFootprintAtLeast3x) {
 // Executor integration: run_batch over the shared plan.
 // ---------------------------------------------------------------------------
 
-TEST(PlanExecutor, FastBatchMatchesReferencePerSample) {
+TEST(PlanExecutor, RunBatchMatchesReferencePerSample) {
   const QuantizedNet net = random_net(7, 7, 3, 1, 1, 888);
-  Executor ref(net, /*fast=*/false);
-  Executor fast(net, /*fast=*/true);
+  Executor exec(net);
   const Shape& in = net.layers.front().in_shape;
   Rng rng(17);
   FloatTensor batch(Shape(4, in.h, in.w, in.c));
   rng.fill_uniform(batch.vec(), 0.0, 1.0);
 
-  const auto fast_results = fast.run_batch(batch);
-  const auto ref_results = ref.run_batch(batch);
-  ASSERT_EQ(fast_results.size(), 4u);
+  const auto planned = exec.run_batch(batch);
+  ASSERT_EQ(planned.size(), 4u);
   for (std::size_t n = 0; n < 4; ++n) {
-    ASSERT_EQ(ref_results[n].logits.size(), fast_results[n].logits.size());
-    for (std::size_t i = 0; i < ref_results[n].logits.size(); ++i) {
-      ASSERT_EQ(ref_results[n].logits[i], fast_results[n].logits[i])
+    FloatTensor img(in);
+    std::copy(batch.data() + static_cast<std::int64_t>(n) * in.numel(),
+              batch.data() + static_cast<std::int64_t>(n + 1) * in.numel(),
+              img.data());
+    const QInferenceResult ref = exec.run(img);
+    ASSERT_EQ(ref.logits.size(), planned[n].logits.size());
+    for (std::size_t i = 0; i < ref.logits.size(); ++i) {
+      ASSERT_EQ(ref.logits[i], planned[n].logits[i])
           << "sample " << n << " logit " << i;
     }
-    EXPECT_EQ(ref_results[n].predicted, fast_results[n].predicted);
+    EXPECT_EQ(ref.predicted, planned[n].predicted);
   }
 }
 

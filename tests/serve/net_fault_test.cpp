@@ -213,7 +213,7 @@ std::string expected_line(std::int64_t id,
 
 std::vector<std::string> expected_per_sample(
     const QuantizedNet& net, const std::vector<std::vector<float>>& samples) {
-  Executor exec(net, /*fast=*/true);
+  Executor exec(net);
   const Shape& in = net.layers.front().in_shape;
   std::vector<std::string> out;
   out.reserve(samples.size());

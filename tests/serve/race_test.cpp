@@ -253,8 +253,8 @@ TEST(ModelRegistryRace, SwapWhileBatchInFlightStaysBitExact) {
   const auto sample = registry_sample(v1, 42);
 
   // Per-image expected logits for the fixed sample, computed serially.
-  runtime::Executor e1(v1, /*fast=*/true);
-  runtime::Executor e2(v2, /*fast=*/true);
+  runtime::Executor e1(v1);
+  runtime::Executor e2(v2);
   FloatTensor in(v1.layers.front().in_shape);
   in.vec() = sample;
   const std::vector<float> logits_v1 = e1.run_planned(in).logits;

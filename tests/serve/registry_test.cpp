@@ -65,7 +65,7 @@ std::vector<float> make_sample(const QuantizedNet& net, std::uint64_t seed) {
 
 QInferenceResult reference_result(const QuantizedNet& net,
                                   const std::vector<float>& sample) {
-  Executor exec(net, /*fast=*/true);
+  Executor exec(net);
   FloatTensor img(net.layers.front().in_shape);
   img.vec() = sample;
   return exec.run_planned(img);

@@ -100,7 +100,7 @@ std::vector<std::vector<float>> make_samples(const QuantizedNet& net, int n,
 /// tail every response for that (net, sample) pair must carry.
 std::vector<std::string> expected_per_sample(
     const QuantizedNet& net, const std::vector<std::vector<float>>& samples) {
-  Executor exec(net, /*fast=*/true);
+  Executor exec(net);
   const Shape& in = net.layers.front().in_shape;
   std::vector<std::string> out;
   out.reserve(samples.size());

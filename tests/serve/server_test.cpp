@@ -64,7 +64,7 @@ std::vector<std::vector<float>> make_samples(const QuantizedNet& net, int n,
 
 QInferenceResult run_planned_serial(const QuantizedNet& net,
                                     const std::vector<float>& sample) {
-  Executor exec(net, /*fast=*/true);
+  Executor exec(net);
   const Shape& in = net.layers.front().in_shape;
   FloatTensor img(in);
   img.vec() = sample;

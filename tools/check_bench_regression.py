@@ -295,7 +295,7 @@ def main() -> None:
 
     # --- timing: report, warn past threshold, never fail ----------------
     rows = []
-    for key in ("reference_ns", "fast_ns", "planned_ns"):
+    for key in ("reference_ns", "planned_ns"):
         b = base["end_to_end"][key]
         fr = fresh["end_to_end"][key]
         delta = (fr - b) / b * 100.0 if b else 0.0
@@ -310,15 +310,16 @@ def main() -> None:
 
     base_isa = base.get("simd", {}).get("active", "?")
     fresh_isa = fresh.get("simd", {}).get("active", "?")
-    planned_delta = rows[2][3]
+    planned = rows[1]
+    planned_delta = planned[3]
     if base_isa != fresh_isa:
         print(f"timing comparison skipped: baseline ISA ({base_isa}) != "
               f"fresh ISA ({fresh_isa}); wall-clock numbers are not "
               f"comparable across kernel sets")
     elif planned_delta > args.warn_pct:
         print(f"::warning::planned path is {planned_delta:.1f}% slower than "
-              f"the committed baseline ({rows[2][1] / 1e6:.3f} ms -> "
-              f"{rows[2][2] / 1e6:.3f} ms); timing is warn-only, but take a "
+              f"the committed baseline ({planned[1] / 1e6:.3f} ms -> "
+              f"{planned[2] / 1e6:.3f} ms); timing is warn-only, but take a "
               f"look if this persists across runs")
     else:
         print(f"planned-path timing within budget "
